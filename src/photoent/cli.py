@@ -45,7 +45,7 @@ from .photocount import (
     postselect_density,
     sample_counts,
 )
-from .projective import pm_count_cutoff, pm_probability
+from .projective import pm_count_cutoff, pm_distribution_row
 
 
 class ConfigError(ValueError):
@@ -66,6 +66,10 @@ def _atomic_write(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates 0600; give the file the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -189,10 +193,13 @@ def k_list(cfg: dict, default_max: int) -> list[int]:
         return list(range(default_max + 1))
     if isinstance(entry, dict):
         _require(entry, "grids.k", {"max"}, {"max"})
-        return list(range(int(entry["max"]) + 1))
-    if isinstance(entry, list):
-        return [int(k) for k in entry]
-    raise ConfigError("grids.k must be a list or {max}")
+        entry = list(range(int(entry["max"]) + 1))
+    if not isinstance(entry, list):
+        raise ConfigError("grids.k must be a list or {max}")
+    ks = [int(k) for k in entry]
+    if not ks or min(ks) < 0:
+        raise ConfigError("grids.k must name at least one count, all >= 0")
+    return ks
 
 
 def _seed(cfg: dict, args) -> int | None:
@@ -219,8 +226,8 @@ def cmd_pm_dist(cfg: dict, out: Path, args) -> int:
     ks = k_list(cfg, pm_count_cutoff(state, params.chi, t_max))
     rows = []
     for gt in grid:
-        t = gt / params.gamma
-        probs = [pm_probability(state, params.chi, t, k) for k in ks]
+        row = pm_distribution_row(state, params.chi, gt / params.gamma, max(ks))
+        probs = [float(row[k]) for k in ks]
         checksum = math.fsum(probs)
         for k, p in zip(ks, probs):
             rows.append([float(gt), k, p, checksum])

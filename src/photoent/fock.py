@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -80,6 +81,8 @@ class TwoModeState:
         arr = np.array(self.coeffs, dtype=complex, copy=True)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"coeffs must be a 2-d matrix, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coeffs must be finite (NaN or infinite entries found)")
         if not (0.0 <= self.trunc_weight <= 0.02):
             raise ValueError(f"trunc_weight out of range: {self.trunc_weight}")
         norm_sq = float(np.sum(np.abs(arr) ** 2))
@@ -118,6 +121,8 @@ class TwoModeDensity:
         dim = self.d_a * self.d_b
         if arr.shape != (dim, dim):
             raise ValueError(f"rho has shape {arr.shape}, expected {(dim, dim)}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("rho must be finite (NaN or infinite entries found)")
         arr.setflags(write=False)
         object.__setattr__(self, "rho", arr)
 
@@ -202,6 +207,9 @@ def make_coherent_product(
     Cutoffs are the smallest per-mode dimensions whose Poisson tails sum to
     at most eps_trunc (the budget is split evenly over the non-vacuum modes).
     """
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not (0.0 < eps_trunc <= 0.01):
         raise ValueError(f"eps_trunc must lie in (0, 0.01], got {eps_trunc}")
     means = (abs(alpha) ** 2, abs(beta) ** 2)
@@ -219,11 +227,13 @@ def make_superposition(entries: list[tuple[int, int, complex]]) -> TwoModeState:
     if not entries:
         raise ValueError("entries must be nonempty")
     seen = set()
-    for m, n, _ in entries:
+    for m, n, c in entries:
         if m < 0 or n < 0:
             raise ValueError(f"negative occupation ({m}, {n})")
         if (m, n) in seen:
             raise ValueError(f"duplicate entry for ({m}, {n})")
+        if not cmath.isfinite(c):
+            raise ValueError(f"entries: coefficient of ({m}, {n}) must be finite, got {c!r}")
         seen.add((m, n))
     d_a = max(m for m, _, _ in entries) + 1
     d_b = max(n for _, n, _ in entries) + 1

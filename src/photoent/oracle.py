@@ -17,9 +17,9 @@ Y commutes with the total AB photon number, so the generator is block
 diagonal over sectors of fixed N = m + n, and within a sector the exchange
 part and the monitor part act on different tensor factors.  Propagation is
 therefore done per sector as (exchange block unitary) (x) expm(M_N dt) with
-M_N = -i chi N (c + c†) - (gamma/2) c†c, which is exact; an adaptive
-Runge-Kutta integration of the same generator is provided as a cross-check
-(`no_count_evolution_ode`).
+M_N = -i chi N (c + c†) - (gamma/2) c†c, which is exact (the test suite
+cross-checks it against an adaptive Runge-Kutta integration of the full
+generator).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .fock import (
@@ -213,8 +212,7 @@ def _nt_engine(
         final = _apply_record(psi0, params, record)
         prob += record.weight * final.norm_sq
         if want_density:
-            flat = final.coeffs.reshape(-1, final.d_c)
-            rho += record.weight * (flat @ flat.conj().T)
+            rho += record.weight * trace_monitor(final)
     return prob, rho
 
 
@@ -280,7 +278,11 @@ def nt_oracle_point(
         if converged:
             herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
             trace_defect = abs(np.trace(rho).real - 1.0)
-            assert herm_defect <= 1e-8 and trace_defect <= 1e-8
+            if not (herm_defect <= 1e-8 and trace_defect <= 1e-8):
+                raise ConvergenceError(
+                    f"conditional density for k={k} is off by {herm_defect:.3g} "
+                    f"(hermiticity) and {trace_defect:.3g} (trace)"
+                )
             rho = (rho + rho.conj().T) / 2.0
             return prob, TwoModeDensity(rho, state0.d_a, state0.d_b)
         prev_rho = rho
@@ -301,48 +303,6 @@ def conditional_ab_density(
     """Normalized conditional AB density from the quadrature path (k <= 2),
     for element-wise comparison against the closed form."""
     return nt_oracle_point(state0, params, t, k, rel_tol, node_ladder)[1]
-
-
-def no_count_evolution_ode(
-    state: ThreeModeState, params: ModelParams, dt: float, rtol: float = 1e-10
-) -> ThreeModeState:
-    """Same semigroup as `no_count_evolution`, integrated by adaptive
-    Runge-Kutta on the flattened tensor.  Cross-check path only."""
-    from scipy import sparse
-
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    if dt == 0.0:
-        return state
-    d_a, d_b, d_c = state.coeffs.shape
-    a = sparse.diags(np.sqrt(np.arange(1.0, d_a)), 1)
-    b = sparse.diags(np.sqrt(np.arange(1.0, d_b)), 1)
-    c = sparse.diags(np.sqrt(np.arange(1.0, d_c)), 1)
-    ia, ib, ic = (sparse.identity(d, format="csr") for d in (d_a, d_b, d_c))
-    exchange = sparse.kron(sparse.kron(a.conj().T, b) + sparse.kron(a, b.conj().T), ic)
-    n_ab = sparse.kron(a.conj().T @ a, sparse.kron(ib, ic)) + sparse.kron(
-        ia, sparse.kron(b.conj().T @ b, ic)
-    )
-    drive = sparse.kron(ia, sparse.kron(ib, c + c.conj().T))
-    damp = sparse.kron(ia, sparse.kron(ib, c.conj().T @ c))
-    gen = (-1j * params.lam) * exchange - 1j * params.chi * (n_ab @ drive) - params.gamma / 2.0 * damp
-    gen = gen.tocsr()
-
-    def rhs(_t, y):
-        return gen @ y
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, dt),
-        state.coeffs.reshape(-1),
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-13,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"ODE integration failed: {sol.message}")
-    return ThreeModeState(sol.y[:, -1].reshape(d_a, d_b, d_c))
 
 
 def _sector_setup(state0: TwoModeState, params: ModelParams):

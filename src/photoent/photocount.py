@@ -13,10 +13,11 @@ exp(-h (N^2 + N'^2) + mu N N') on top of the count weighting.  The identity
 2h - mu = 2g makes the diagonal of the conditional state reproduce the count
 distribution exactly.
 
-The damping kernel h is evaluated with exponent e^{-gamma t/2}; the variant
-with e^{+gamma t/2} (selectable via ``exponent_sign=+1``) breaks the identity
-and with it the normalization of the count distribution, and is retained only
-for the regression guard that documents the corrected sign.
+Every count statistic here runs through the Poisson-mixture core in
+`projective` with u = 2g; the conditional states reuse its sector weight
+N^k e^{-h N^2}.  The damping kernel h carries the exponent e^{-gamma t/2}; the
+variant with e^{+gamma t/2} breaks the identity and with it the normalization
+of the count distribution (the test suite rebuilds it as a regression guard).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import poisson
 
 from .fock import (
     ConvergenceError,
@@ -38,10 +38,20 @@ from .fock import (
     apply_beam_splitter,
     density_from_pure,
     entanglement_report,
-    fix_global_phase,
-    number_weights,
 )
-from .projective import PROBABILITY_FLOOR, TAIL_MASS, k_cutoff, mixture_pmf, mixture_pmf_row
+from .projective import (
+    PROBABILITY_FLOOR,
+    TAIL_MASS,
+    _check_kt,
+    k_cutoff,
+    mixture_moments,
+    mixture_pmf,
+    mixture_pmf_row,
+    reweight_sectors,
+    sample_mixture,
+    sector_log_weight,
+    sector_means,
+)
 
 log = logging.getLogger(__name__)
 
@@ -111,52 +121,33 @@ def _h_core(x: float) -> float:
     return x - 2.0 + 2.0 * math.exp(-x / 2.0)
 
 
-def eval_kernels(params: ModelParams, t: float, exponent_sign: float = -1.0) -> SdKernels:
+def eval_kernels(params: ModelParams, t: float) -> SdKernels:
     """Evaluate all counting kernels at time t.
 
-    ``exponent_sign`` selects the exponent sign inside h; only the default -1
-    satisfies the trace identity 2h - mu = 2g (asserted here).  +1 is kept for
-    the normalization regression guard and skips the assertion.
+    Raises ConvergenceError if the trace identity 2h - mu = 2g fails.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_kt(t, 0)
     x = params.gamma * t
     scale = 2.0 * params.chi**2 / params.gamma**2
     g = scale * _g_core(x)
-    if exponent_sign < 0:
-        h = scale * _h_core(x)
-    else:
-        h = scale * (x - 2.0 + 2.0 * math.exp(x / 2.0))
+    h = scale * _h_core(x)
     one_minus = -math.expm1(-x / 2.0)  # 1 - e^{-x/2}, stable for small x
     mu = 2.0 * scale * one_minus**2
     z_factor = -2j * params.chi / params.gamma * one_minus
     kern = SdKernels(t=t, g=g, h=h, mu=mu, u=2.0 * g, z_factor=z_factor)
-    if exponent_sign < 0:
-        assert abs(2.0 * kern.h - kern.mu - kern.u) <= 1e-12 * max(1.0, abs(kern.u)), (
-            "trace identity 2h - mu = 2g violated"
-        )
+    if not abs(2.0 * kern.h - kern.mu - kern.u) <= 1e-12 * max(1.0, abs(kern.u)):
+        raise ConvergenceError(f"trace identity 2h - mu = 2g violated at t={t}")
     return kern
-
-
-def _check_kt(t: float, k: int) -> None:
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if k < 0 or int(k) != k:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
 
 
 def count_probability(state0: TwoModeState, params: ModelParams, t: float, k: int) -> float:
     """P(k, t) = sum_N P_N Poisson(k; 2 g(t) N^2)."""
     _check_kt(t, k)
-    u = eval_kernels(params, t).u
-    weights = number_weights(state0)
-    n = np.arange(len(weights), dtype=float)
-    return mixture_pmf(weights, u * n**2, k)
+    return mixture_pmf(*sector_means(state0, eval_kernels(params, t).u), k)
 
 
 def count_cutoff(state0: TwoModeState, params: ModelParams, t: float, tail: float = TAIL_MASS) -> int:
-    u = eval_kernels(params, t).u
-    return k_cutoff(u * state0.n_max**2, tail)
+    return k_cutoff(eval_kernels(params, t).u * state0.n_max**2, tail)
 
 
 def count_distribution_row(
@@ -164,40 +155,7 @@ def count_distribution_row(
 ) -> np.ndarray:
     """P(k, t) for k = 0..k_max; row-vectorized version of `count_probability`."""
     _check_kt(t, k_max)
-    u = eval_kernels(params, t).u
-    weights = number_weights(state0)
-    n = np.arange(len(weights), dtype=float)
-    return mixture_pmf_row(weights, u * n**2, k_max)
-
-
-def conditioned_trace(
-    state0: TwoModeState, params: ModelParams, t: float, k: int, exponent_sign: float = -1.0
-) -> float:
-    """Trace of the unnormalized conditional density, computed from the
-    damping kernels h and mu rather than from g:
-
-        (2g)^k / k! * sum_N P_N N^{2k} exp(-(2h - mu) N^2)
-
-    With the corrected kernel sign this equals ``count_probability`` exactly
-    (identity 2h - mu = 2g); with ``exponent_sign=+1`` it does not, and
-    summing over k no longer yields 1.
-    """
-    _check_kt(t, k)
-    kern = eval_kernels(params, t, exponent_sign=exponent_sign)
-    weights = number_weights(state0)
-    if kern.u == 0.0:  # t = 0: nothing counted yet
-        return float(np.sum(weights)) if k == 0 else 0.0
-    n = np.arange(len(weights), dtype=float)
-    damping = 2.0 * kern.h - kern.mu
-    terms = np.zeros_like(weights)
-    positive = n > 0
-    log_n = np.log(n[positive])
-    terms[positive] = np.exp(
-        k * math.log(kern.u) + 2 * k * log_n - damping * n[positive] ** 2 - math.lgamma(k + 1)
-    )
-    if k == 0:
-        terms[~positive] = 1.0
-    return float(np.sum(weights * terms))
+    return mixture_pmf_row(*sector_means(state0, eval_kernels(params, t).u), k_max)
 
 
 def postselect_density(
@@ -222,42 +180,18 @@ def postselect_density(
     sigma = np.outer(psi, psi.conj())
     d_a, d_b = evolved.d_a, evolved.d_b
     totals = (np.arange(d_a)[:, None] + np.arange(d_b)[None, :]).astype(float).reshape(-1)
-    with np.errstate(divide="ignore"):
-        log_n = np.where(totals > 0, np.log(np.where(totals > 0, totals, 1.0)), -np.inf)
-    log_half = k * log_n - kern.h * totals**2 if k > 0 else -kern.h * totals**2
-    if k == 0:
-        log_half = np.where(totals > 0, log_half, 0.0)
+    log_half = sector_log_weight(totals, k, kern.h)
     exponent = log_half[:, None] + log_half[None, :] + kern.mu * np.outer(totals, totals)
     support = np.isfinite(exponent) & (sigma != 0)
     if not np.any(support):
         raise ImpossibleOutcomeError(f"no support for outcome k={k}")
-    shift = np.max(exponent[support])
-    weights = np.where(np.isfinite(exponent), np.exp(exponent - shift), 0.0)
+    weights = np.exp(exponent - np.max(exponent[support]))
     num = weights * sigma
     correction = float(np.linalg.norm(num - num.conj().T))
     if correction > 0.0:
         log.debug("conditioning symmetrization correction norm %.3e", correction)
     num = (num + num.conj().T) / 2.0
     return TwoModeDensity(num / np.trace(num).real, d_a, d_b)
-
-
-def apply_mixing_series(sigma: np.ndarray, totals: np.ndarray, mu: float, l_max: int) -> np.ndarray:
-    """Truncated series sum_l (mu^l / l!) N^l sigma N'^l.
-
-    This is the superoperator form of the mixing factor exp(mu N . N'); the
-    element-wise exponential used by ``postselect_density`` is its exact
-    resummation.  Kept as a small-cutoff cross-check.
-    """
-    out = np.zeros_like(sigma)
-    factor = np.ones_like(sigma, dtype=float)
-    nn = np.outer(totals, totals)
-    coeff = 1.0
-    for el in range(l_max + 1):
-        if el > 0:
-            coeff *= mu / el
-            factor = factor * nn
-        out = out + coeff * factor * sigma
-    return out
 
 
 def short_time_state(state0: TwoModeState, lam: float, t: float, k: int) -> TwoModeState:
@@ -268,17 +202,7 @@ def short_time_state(state0: TwoModeState, lam: float, t: float, k: int) -> TwoM
     evolved = apply_beam_splitter(state0, lam, t)
     if k == 0:
         return evolved
-    totals = (np.arange(evolved.d_a)[:, None] + np.arange(evolved.d_b)[None, :]).astype(float)
-    coeffs = totals**k * evolved.coeffs
-    norm = np.linalg.norm(coeffs)
-    if norm == 0.0:
-        raise ImpossibleOutcomeError(f"state has no support with N > 0 for k={k}")
-    return TwoModeState(fix_global_phase(coeffs / norm))
-
-
-def _count_shape(weights: np.ndarray, n_sq: np.ndarray, u: float, k: int) -> float:
-    """P(k) as a function of u = 2g, used for the peak search."""
-    return float(np.sum(weights * poisson.pmf(k, u * n_sq)))
+    return reweight_sectors(evolved, k, 0.0)
 
 
 def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> float:
@@ -293,9 +217,7 @@ def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> flo
     _check_kt(0.0, k)
     if k == 0:
         return 0.0
-    weights = number_weights(state0)
-    n = np.arange(len(weights), dtype=float)
-    n_sq = n**2
+    weights, n_sq = sector_means(state0, 1.0)  # means per unit u: N^2
     positive = n_sq > 0
     if not np.any(weights[positive] > 0):
         raise ImpossibleOutcomeError(f"P(k={k}, t) vanishes identically for this state")
@@ -305,7 +227,7 @@ def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> flo
     # populated sector as well as the mixture-mean heuristic 10k / <N^2>
     u_hi = max(10.0 * k / mean_n2, 3.0 * k / n_min_sq)
     grid = np.linspace(u_hi / 2048.0, u_hi, 2048)
-    vals = [_count_shape(weights, n_sq, u, k) for u in grid]
+    vals = mixture_pmf(weights, np.multiply.outer(grid, n_sq), k)
     best = int(np.argmax(vals))
     if best == len(grid) - 1:
         raise ConvergenceError(
@@ -318,17 +240,17 @@ def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> flo
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = _count_shape(weights, n_sq, c, k)
-    fd = _count_shape(weights, n_sq, d, k)
+    fc = mixture_pmf(weights, c * n_sq, k)
+    fd = mixture_pmf(weights, d * n_sq, k)
     while b - a > 1e-14 * u_hi:
         if fc > fd:  # strict: plateaus collapse toward smaller u
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = _count_shape(weights, n_sq, c, k)
+            fc = mixture_pmf(weights, c * n_sq, k)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = _count_shape(weights, n_sq, d, k)
+            fd = mixture_pmf(weights, d * n_sq, k)
     u_star = (a + b) / 2.0
     g_star = u_star / 2.0
     t_hi = 1.0 / params.gamma
@@ -355,19 +277,10 @@ def count_mean_variance(
     ``asymptotic=True`` replaces u by its late-time linearization
     (2 chi/gamma)^2 gamma t.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_kt(t, 0)
     if asymptotic:
-        u = (2.0 * params.chi / params.gamma) ** 2 * params.gamma * t
-    else:
-        u = eval_kernels(params, t).u
-    weights = number_weights(state0)
-    total = float(np.sum(weights))
-    n = np.arange(len(weights), dtype=float)
-    n2 = float(np.sum(weights * n**2) / total)
-    n4 = float(np.sum(weights * n**4) / total)
-    k_mean = u * n2
-    return k_mean, k_mean + u**2 * (n4 - n2**2)
+        return mixture_moments(state0, (2.0 * params.chi / params.gamma) ** 2 * params.gamma * t)
+    return mixture_moments(state0, eval_kernels(params, t).u)
 
 
 def entanglement_scan(
@@ -430,11 +343,4 @@ def sample_counts(
     """Seeded exact sampling of the count distribution at fixed t: draw the
     total photon number from its (renormalized) distribution, then
     k ~ Poisson(2 g(t) N^2)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    u = eval_kernels(params, t).u
-    rng = np.random.default_rng(seed)
-    weights = number_weights(state0)
-    probs = weights / np.sum(weights)
-    n = rng.choice(len(weights), size=n_samples, p=probs)
-    return rng.poisson(u * n.astype(float) ** 2)
+    return sample_mixture(state0, eval_kernels(params, t).u, n_samples, seed)

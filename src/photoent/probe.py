@@ -15,9 +15,10 @@ From the moments one builds the bounded transform
 whose cosine coefficients C(j) = (1/pi) int_0^{2pi} cos(jx) H(x) dx recover
 the anti-diagonal sums sum_m |C_{m,j-m}|^2 -- the maximal state information
 available from counting the monitor.  Note the (2r)! denominator: it is
-forced by the cosine closed form (the single-factorial variant is retained
-only for a regression guard), and C(0) carries a 1/(2 pi) normalization since
-the constant mode integrates to 2 pi over a full period.
+forced by the cosine closed form (the single-factorial variant turns the
+series into exp(-x^2 N^2); the test suite rebuilds it as a regression guard),
+and C(0) carries a 1/(2 pi) normalization since the constant mode integrates
+to 2 pi over a full period.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ class HFunctionSamples:
     remainder_bound: np.ndarray
     cancellation: np.ndarray
     trusted: np.ndarray
-    single_factorial: bool = False
 
     @property
     def values(self) -> np.ndarray:
@@ -249,11 +249,7 @@ def empirical_moments(
     )
 
 
-def h_function(
-    moments: ProbeMoments,
-    x_grid: np.ndarray,
-    single_factorial: bool = False,
-) -> HFunctionSamples:
+def h_function(moments: ProbeMoments, x_grid: np.ndarray) -> HFunctionSamples:
     """Evaluate H(x) = sum_r (-1)^r x^{2r} kappa_r / (2r)! on a grid.
 
     Terms are accumulated with compensated summation (math.fsum); each sample
@@ -261,9 +257,7 @@ def h_function(
     estimate (largest term x machine epsilon / result).  A sample is marked
     untrusted when either exceeds 1e-4 (relative) -- for large x N_max the
     alternating series runs out of double-precision trust, or out of terms,
-    before it converges.  ``single_factorial=True`` divides by r! instead of
-    (2r)!, which breaks the cosine closed form; it exists only for the
-    regression guard documenting the corrected denominator.
+    before it converges.
     """
     x = np.asarray(x_grid, dtype=float)
     if np.any(x < 0) or np.any(x >= 2 * math.pi):
@@ -281,13 +275,12 @@ def h_function(
     for i, xi in enumerate(x):
         terms = []
         for r in range(r_max + 1):
-            denom = math.factorial(r) if single_factorial else math.factorial(2 * r)
-            terms.append((-1.0) ** r * xi ** (2 * r) * kappa[r] / denom)
+            terms.append((-1.0) ** r * xi ** (2 * r) * kappa[r] / math.factorial(2 * r))
         total = math.fsum(terms)
         series[i] = total
         largest = max(abs(tr) for tr in terms)
         cancellation[i] = largest * np.finfo(float).eps / max(abs(total), 1e-300)
-        next_denom = math.factorial(r_max + 1) if single_factorial else math.factorial(2 * r_max + 2)
+        next_denom = math.factorial(2 * r_max + 2)
         remainder[i] = xi ** (2 * r_max + 2) * kappa[r_max] * n_eff_sq / next_denom
     exact = None
     if moments.n_weights is not None:
@@ -304,7 +297,6 @@ def h_function(
         remainder_bound=remainder,
         cancellation=cancellation,
         trusted=trusted,
-        single_factorial=single_factorial,
     )
 
 

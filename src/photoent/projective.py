@@ -1,25 +1,32 @@
-"""Instantaneous projective readout of the monitor photon number.
+"""Instantaneous projective readout of the monitor photon number, and the
+Poisson-mixture core that both readouts share.
 
 When the monitor mode is found to hold exactly ``k`` photons at time ``t``,
 the joint AB state reduces to a *pure* state: the evolved state reweighted by
 ``N^k exp(-(chi t)^2 N^2 / 2)`` in the total photon number N.  The count
 statistics are a Poisson mixture with per-component mean ``(chi t N)^2``,
 which makes every moment an explicit function of the moments of N^2.
+
+Continuous counting (`photocount`) gives the same mixture with ``(chi t)^2``
+replaced by ``u = 2 g(t)``, so the mixture functions below take the sector
+means, or the scalar u, and each readout only works out its own u.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .fock import (
     ImpossibleOutcomeError,
     TwoModeState,
     apply_beam_splitter,
     fix_global_phase,
+    number_moment,
     number_weights,
 )
 
@@ -46,38 +53,92 @@ class PmOutcome:
 
 
 def _check_kt(t: float, k: int) -> None:
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if k < 0 or int(k) != k:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
 
 
+def _poisson_pmf(k, means):
+    """Poisson(k; mean), broadcast over k and the means (the expression
+    scipy.stats.poisson.pmf evaluates; mean 0 gives 1 at k = 0, else 0)."""
+    return np.exp(xlogy(k, means) - gammaln(k + 1) - means)
+
+
 def mixture_pmf(weights: np.ndarray, means: np.ndarray, k: int) -> float:
-    """P(k) of a mixture of Poisson distributions."""
-    return float(np.sum(weights * poisson.pmf(k, means)))
+    """P(k) of a mixture of Poisson distributions, the components on the last
+    axis of ``means`` (a 2-d ``means`` gives one mixture per row)."""
+    return np.sum(weights * _poisson_pmf(k, means), axis=-1)
 
 
 def mixture_pmf_row(weights: np.ndarray, means: np.ndarray, k_max: int) -> np.ndarray:
     """P(k) for all k = 0..k_max at once (same mixture as `mixture_pmf`)."""
     ks = np.arange(k_max + 1)
-    return poisson.pmf(ks[:, None], means[None, :]) @ weights
+    return _poisson_pmf(ks[:, None], means[None, :]) @ weights
 
 
 def k_cutoff(mean_max: float, tail: float = TAIL_MASS) -> int:
     """Count cutoff K with Poisson tail mass beyond K below ``tail`` for
-    every mixture component (the largest mean dominates the tail)."""
+    every mixture component (the largest mean dominates the tail).  K - 2 is
+    the inverse CDF at 1 - tail, computed as scipy.stats.poisson.isf does."""
     if mean_max <= 0:
         return 1
-    return int(poisson.isf(tail, mean_max)) + 2
+    q = 1.0 - tail
+    v = math.ceil(pdtrik(q, mean_max))
+    below = max(v - 1, 0)
+    return (below if pdtr(below, mean_max) >= q else v) + 2
+
+
+def sector_means(state0: TwoModeState, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights P_N and component means u N^2 of the count mixture."""
+    weights = number_weights(state0)
+    return weights, u * np.arange(len(weights), dtype=float) ** 2
+
+
+def mixture_moments(state0: TwoModeState, u: float) -> tuple[float, float]:
+    """Mean u <N^2> and full variance k_mean + u^2 Var(N^2) of the mixture
+    (the shot-noise term k_mean included)."""
+    n2, n4 = number_moment(state0, 2), number_moment(state0, 4)
+    k_mean = u * n2
+    return k_mean, k_mean + u**2 * (n4 - n2**2)
+
+
+def sample_mixture(state0: TwoModeState, u: float, n_samples: int, seed: int) -> np.ndarray:
+    """Seeded exact sampling: draw N from the renormalized P_N, then
+    k ~ Poisson(u N^2)."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    weights = number_weights(state0)
+    probs = weights / np.sum(weights)
+    n = rng.choice(len(weights), size=n_samples, p=probs)
+    return rng.poisson(u * n.astype(float) ** 2)
+
+
+def sector_log_weight(totals: np.ndarray, k: int, h: float) -> np.ndarray:
+    """log(N^k e^(-h N^2)) for each total photon number N in ``totals``;
+    N = 0 keeps weight 1 only for k = 0 (log weight -inf for k >= 1)."""
+    with np.errstate(divide="ignore"):
+        return (k * np.log(totals) if k else 0.0) - h * totals**2
+
+
+def reweight_sectors(evolved: TwoModeState, k: int, h: float) -> TwoModeState:
+    """The pure state with coefficients N^k e^(-h N^2) C[m, n], N = m + n,
+    normalized and with its global phase fixed."""
+    totals = (np.arange(evolved.d_a)[:, None] + np.arange(evolved.d_b)[None, :]).astype(float)
+    log_w = sector_log_weight(totals, k, h)
+    support = np.isfinite(log_w) & (evolved.coeffs != 0)
+    if not np.any(support):
+        raise ImpossibleOutcomeError(f"no support for outcome k={k}")
+    coeffs = np.exp(log_w - np.max(log_w[support])) * evolved.coeffs
+    return TwoModeState(fix_global_phase(coeffs / np.linalg.norm(coeffs)))
 
 
 def pm_probability(state0: TwoModeState, chi: float, t: float, k: int) -> float:
     """Probability of finding k photons in the monitor at time t,
     sum_N P_N Poisson(k; (chi t N)^2)."""
     _check_kt(t, k)
-    weights = number_weights(state0)
-    n = np.arange(len(weights), dtype=float)
-    return mixture_pmf(weights, (chi * t * n) ** 2, k)
+    return mixture_pmf(*sector_means(state0, (chi * t) ** 2), k)
 
 
 def pm_count_cutoff(state0: TwoModeState, chi: float, t: float, tail: float = TAIL_MASS) -> int:
@@ -87,9 +148,7 @@ def pm_count_cutoff(state0: TwoModeState, chi: float, t: float, tail: float = TA
 def pm_distribution_row(state0: TwoModeState, chi: float, t: float, k_max: int) -> np.ndarray:
     """P(k, t) for k = 0..k_max; row-vectorized version of `pm_probability`."""
     _check_kt(t, k_max)
-    weights = number_weights(state0)
-    n = np.arange(len(weights), dtype=float)
-    return mixture_pmf_row(weights, (chi * t * n) ** 2, k_max)
+    return mixture_pmf_row(*sector_means(state0, (chi * t) ** 2), k_max)
 
 
 def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int) -> PmOutcome:
@@ -107,22 +166,8 @@ def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int
         raise ImpossibleOutcomeError(
             f"outcome k={k} at t={t} has probability below {PROBABILITY_FLOOR:g}"
         )
-    evolved = apply_beam_splitter(state0, lam, t)
-    d_a, d_b = evolved.d_a, evolved.d_b
-    totals = (np.arange(d_a)[:, None] + np.arange(d_b)[None, :]).astype(float)
-    log_w = np.full_like(totals, -np.inf)
-    positive = totals > 0
-    log_w[positive] = k * np.log(totals[positive]) - (chi * t) ** 2 * totals[positive] ** 2 / 2
-    if k == 0:
-        log_w[~positive] = 0.0
-    support = np.isfinite(log_w) & (evolved.coeffs != 0)
-    if not np.any(support):
-        raise ImpossibleOutcomeError(f"no support for outcome k={k}")
-    shift = np.max(log_w[support])
-    weights = np.where(np.isfinite(log_w), np.exp(log_w - shift), 0.0)
-    coeffs = weights * evolved.coeffs
-    coeffs = fix_global_phase(coeffs / np.linalg.norm(coeffs))
-    return PmOutcome(k=k, t=t, probability=probability, post_state=TwoModeState(coeffs))
+    post = reweight_sectors(apply_beam_splitter(state0, lam, t), k, (chi * t) ** 2 / 2)
+    return PmOutcome(k=k, t=t, probability=probability, post_state=post)
 
 
 def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float, float]:
@@ -134,16 +179,8 @@ def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float,
     variance returned here is that of the full distribution, i.e. it
     includes the Poisson shot-noise term ``k_mean``.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    weights = number_weights(state0)
-    total = float(np.sum(weights))
-    n = np.arange(len(weights), dtype=float)
-    n2 = float(np.sum(weights * n**2) / total)
-    n4 = float(np.sum(weights * n**4) / total)
-    k_mean = (chi * t) ** 2 * n2
-    k_var = k_mean + (chi * t) ** 4 * (n4 - n2**2)
-    return k_mean, k_var
+    _check_kt(t, 0)
+    return mixture_moments(state0, (chi * t) ** 2)
 
 
 def infer_total_mean_photons(k_mean: float, excess_var: float, chi: float, t: float) -> float:
@@ -196,10 +233,4 @@ def sample_pm_counts(
     Sampling is exact for the truncated state: first the total photon number
     N is drawn from its renormalized distribution, then k ~ Poisson((chi t N)^2).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    weights = number_weights(state0)
-    probs = weights / np.sum(weights)
-    n = rng.choice(len(weights), size=n_samples, p=probs)
-    return rng.poisson((chi * t * n) ** 2)
+    return sample_mixture(state0, (chi * t) ** 2, n_samples, seed)

@@ -32,12 +32,7 @@ from photoent import (
     separable_benchmark,
 )
 from photoent.oracle import mc_count_histogram, nt_oracle_point
-from photoent.photocount import (
-    conditioned_trace,
-    count_cutoff,
-    count_distribution_row,
-    count_probability,
-)
+from photoent.photocount import count_cutoff, count_distribution_row, count_probability
 from photoent.probe import (
     analytic_moments,
     classify_special_state,
@@ -55,6 +50,7 @@ from photoent.projective import (
 from photoent.fock import TwoModeDensity
 
 from conftest import random_state
+from crosschecks import conditioned_trace, single_factorial_series
 
 CAPTION_PEAKS = {
     1: 0.32,
@@ -272,7 +268,7 @@ def test_criterion_7_typo_regression_guards():
     m = 64
     x = np.arange(m) * (2 * math.pi / m)
     good_c = fourier_coefficients(x, h_function(moments, x).series, j_max=2)
-    bad_c = fourier_coefficients(x, h_function(moments, x, single_factorial=True).series, j_max=2)
+    bad_c = fourier_coefficients(x, single_factorial_series(moments, x), j_max=2)
     assert abs(good_c.values[1] - 1.0) <= 1e-4
     assert abs(bad_c.values[1] - 1.0) > 0.5
     print("criterion 7 (typo regression guards: damping sign, factorial denominator): PASS")

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -262,6 +263,32 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, params={"lambda": 0.0, "chi": -1.0, "gamma": 1.0})
         assert main(["pm-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "state,field",
+        [
+            ({"kind": "superposition", "entries": [[1, 0, math.nan, 0.0], [0, 2, 1.0, 0.0]]}, "entries"),
+            ({"kind": "superposition", "entries": [[1, 0, 1.0, -math.inf]]}, "entries"),
+            ({"kind": "coherent", "alpha": math.nan, "beta": 1.0}, "alpha"),
+            ({"kind": "coherent", "alpha": 1.0, "beta": [0.0, math.inf]}, "beta"),
+        ],
+    )
+    def test_non_finite_state_rejected(self, tmp_path, capsys, state, field):
+        cfg = write_config(tmp_path, state=state, grids={"gamma_t": [0.5], "k": [0, 1]})
+        assert main(["pm-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "pm_dist.csv").exists()
+
+    def test_non_finite_time_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grids={"gamma_t": [0.5, math.nan]})
+        assert main(["count-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "t must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "count_dist.csv").exists()
+
+    def test_negative_count_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, grids={"gamma_t": [0.5], "k": [0, -1]})
+        assert main(["pm-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "grids.k" in capsys.readouterr().err
+
     def test_determinism_of_primary_outputs(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -275,6 +302,36 @@ class TestConfigValidation:
         assert (out1 / "count_dist_peak_times.json").read_bytes() == (
             out2 / "count_dist_peak_times.json"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_output_file_mode_follows_umask(tmp_path, umask):
+    cfg = write_config(tmp_path, grids={"gamma_t": [0.5], "k": [0, 1]})
+    old = os.umask(umask)
+    try:
+        assert main(["pm-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "pm_dist.csv").stat().st_mode) == 0o666 & ~umask
+
+
+def _package_env():
+    package_root = str(Path(photoent.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    code = (
+        "import sys, photoent.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _run_entry_point(command, env):
@@ -300,9 +357,7 @@ def test_console_entry_point():
     assert target == "photoent.cli:main"
     module, func = target.split(":")
 
-    package_root = str(Path(photoent.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = _package_env()
     code = f"import sys; from {module} import {func}; sys.exit({func}())"
     _run_entry_point([sys.executable, "-c", code], env=env)
 

@@ -86,6 +86,19 @@ class TestConstructors:
         with pytest.raises(ValueError, match="zero"):
             make_superposition([(0, 0, 0.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TwoModeState(np.array([[1.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            TwoModeDensity(np.array([[1.0, 0.0], [0.0, bad]]), 1, 2)
+        with pytest.raises(ValueError, match="alpha"):
+            make_coherent_product(bad, 1.0)
+        with pytest.raises(ValueError, match="beta"):
+            make_coherent_product(1.0, complex(0.0, bad))
+        with pytest.raises(ValueError, match="entries"):
+            make_superposition([(0, 0, 1.0), (1, 0, bad)])
+
     def test_two_mode_squeezed_coefficients(self):
         r, n_max = 0.5, 6
         s = make_two_mode_squeezed(r, n_max)

@@ -21,12 +21,13 @@ from photoent.oracle import (
     mc_count_histogram,
     monitor_dim,
     no_count_evolution,
-    no_count_evolution_ode,
     p_k_montecarlo,
     p_k_quadrature,
     trace_monitor,
 )
 from photoent.photocount import eval_kernels
+
+from crosschecks import no_count_evolution_ode
 
 P = ModelParams(lam=0.3, chi=0.5, gamma=1.0)
 

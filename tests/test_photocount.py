@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import photoent
 from photoent import (
     ModelParams,
     apply_beam_splitter,
@@ -23,14 +28,10 @@ from photoent import (
     short_time_state,
 )
 from photoent.fock import ImpossibleOutcomeError
-from photoent.photocount import (
-    apply_mixing_series,
-    conditioned_trace,
-    count_cutoff,
-    count_distribution,
-)
+from photoent.photocount import count_cutoff, count_distribution
 
 from conftest import random_state
+from crosschecks import apply_mixing_series, conditioned_trace
 
 P = ModelParams(lam=0.0, chi=0.5, gamma=1.0)
 
@@ -72,6 +73,26 @@ class TestKernels:
         for t in (50.0, 500.0):
             ratio = eval_kernels(params, t).u / ((2 * params.chi / params.gamma) ** 2 * t)
             assert abs(ratio - 1.0) < 3.5 / t
+
+    def test_trace_identity_check_survives_optimize_flag(self):
+        # python -O strips asserts; the identity check must still raise
+        code = (
+            "from photoent import ConvergenceError, ModelParams\n"
+            "import photoent.photocount as pc\n"
+            "pc._h_core = lambda x: 1.0 + x\n"
+            "try:\n"
+            "    pc.eval_kernels(ModelParams(lam=0.0, chi=0.5, gamma=1.0), 1.0)\n"
+            "except ConvergenceError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        env = dict(os.environ)
+        package_root = str(Path(photoent.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_monitor_label_factor(self):
         t = 0.8
