@@ -36,7 +36,7 @@ from .fock import (
     make_superposition,
     make_two_mode_squeezed,
 )
-from .oracle import conditional_ab_density, p_k_montecarlo, p_k_quadrature
+from .oracle import nt_oracle_point, p_k_montecarlo, p_k_quadrature
 from .photocount import (
     count_distribution,
     count_probability,
@@ -227,10 +227,9 @@ def cmd_pm_dist(cfg: dict, out: Path, args) -> int:
     rows = []
     for gt in grid:
         row = pm_distribution_row(state, params.chi, gt / params.gamma, max(ks))
-        probs = [float(row[k]) for k in ks]
-        checksum = math.fsum(probs)
-        for k, p in zip(ks, probs):
-            rows.append([float(gt), k, p, checksum])
+        checksum = math.fsum(row)
+        for k in ks:
+            rows.append([float(gt), k, float(row[k]), checksum])
     write_csv(out / "pm_dist.csv", ["gamma_t", "k", "probability", "row_checksum"], rows, config_sha256(cfg))
     return 0
 
@@ -307,7 +306,7 @@ def cmd_oracle_check(cfg: dict, out: Path, args) -> int:
         )
     for k in k_dens:
         rho_cf = postselect_density(state, params, t, k)
-        rho_or = conditional_ab_density(state, params, t, k, rel_tol=rel_tol)
+        rho_or = nt_oracle_point(state, params, t, k, rel_tol=rel_tol)[1]
         delta = float(np.max(np.abs(rho_cf.rho - rho_or.rho)))
         ok &= delta <= 1e-6
         report["density"].append(

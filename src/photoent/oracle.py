@@ -292,19 +292,6 @@ def nt_oracle_point(
     )
 
 
-def conditional_ab_density(
-    state0: TwoModeState,
-    params: ModelParams,
-    t: float,
-    k: int,
-    rel_tol: float = 1e-6,
-    node_ladder: tuple[int, ...] = _NODE_LADDER,
-) -> TwoModeDensity:
-    """Normalized conditional AB density from the quadrature path (k <= 2),
-    for element-wise comparison against the closed form."""
-    return nt_oracle_point(state0, params, t, k, rel_tol, node_ladder)[1]
-
-
 def _sector_setup(state0: TwoModeState, params: ModelParams):
     """Populated total-N sectors with amplitudes sqrt(P_N), renormalized."""
     weights = number_weights(state0)

@@ -8,21 +8,23 @@ kernels (rates chi, gamma):
     mu(t) = (4 chi^2/gamma^2) (1 - e^{-gamma t/2})^2
 
 The count distribution is the projective one with (chi t)^2 replaced by
-u = 2g(t); the conditional density picks up an off-diagonal damping
-exp(-h (N^2 + N'^2) + mu N N') on top of the count weighting.  The identity
-2h - mu = 2g makes the diagonal of the conditional state reproduce the count
+u = 2g(t).  Conditioning on k counts weights the evolved pure-state density
+by (N N')^k exp(-h (N^2 + N'^2) + mu N N'); the identity 2h - mu = 2g splits
+that weight into w_N w_N' exp(-mu (N - N')^2 / 2) with w_N = N^k e^{-g N^2}.
+The conditional state is therefore the projective post-state at u = 2g,
+dephased between total-photon sectors by exp(-mu (N - N')^2 / 2).  The
+dephasing is 1 within a sector, so the diagonal in N reproduces the count
 distribution exactly.
 
-Every count statistic here runs through the Poisson-mixture core in
-`projective` with u = 2g; the conditional states reuse its sector weight
-N^k e^{-h N^2}.  The damping kernel h carries the exponent e^{-gamma t/2}; the
-variant with e^{+gamma t/2} breaks the identity and with it the normalization
-of the count distribution (the test suite rebuilds it as a regression guard).
+Every count statistic and post-state here runs through the Poisson-mixture
+core in `projective` with u = 2g.  The damping kernel h carries the exponent
+e^{-gamma t/2}; the variant with e^{+gamma t/2} breaks the identity and with
+it the normalization of the count distribution (the test suite rebuilds it as
+a regression guard).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -40,20 +42,17 @@ from .fock import (
     entanglement_report,
 )
 from .projective import (
-    PROBABILITY_FLOOR,
     TAIL_MASS,
     _check_kt,
     k_cutoff,
     mixture_moments,
     mixture_pmf,
     mixture_pmf_row,
+    postselect_pure,
     reweight_sectors,
     sample_mixture,
-    sector_log_weight,
     sector_means,
 )
-
-log = logging.getLogger(__name__)
 
 _SERIES_CUT = 0.5
 _TM_TIME_TOL = 1e-6  # |gamma * dt| tolerance for the peak-time inversion
@@ -163,35 +162,18 @@ def postselect_density(
 ) -> TwoModeDensity:
     """Conditional AB density after counting k monitor photons by time t.
 
-    Element (m n, m' n') of the evolved pure-state density is multiplied by
-    (N N')^k exp(-h (N^2 + N'^2) + mu N N') with N = m + n, N' = m' + n',
-    then the result is symmetrized and normalized to unit trace.  For
-    number-state inputs the weight is a constant on the support, so the
-    output is the freely evolved state for every k and gamma.
+    The pure post-state of the projective readout at u = 2g, psi, dephased
+    between total-photon sectors: rho = exp(-mu (N - N')^2 / 2) psi psi^dag
+    with N = m + n, N' = m' + n'.  The dephasing is 1 on the diagonal, so the
+    trace is 1 by construction.  For number-state inputs the output is the
+    freely evolved state for every k and gamma.
     """
-    probability = count_probability(state0, params, t, k)
-    if probability < PROBABILITY_FLOOR:
-        raise ImpossibleOutcomeError(
-            f"outcome k={k} at t={t} has probability below {PROBABILITY_FLOOR:g}"
-        )
     kern = eval_kernels(params, t)
-    evolved = apply_beam_splitter(state0, params.lam, t)
-    psi = evolved.coeffs.reshape(-1)
-    sigma = np.outer(psi, psi.conj())
-    d_a, d_b = evolved.d_a, evolved.d_b
-    totals = (np.arange(d_a)[:, None] + np.arange(d_b)[None, :]).astype(float).reshape(-1)
-    log_half = sector_log_weight(totals, k, kern.h)
-    exponent = log_half[:, None] + log_half[None, :] + kern.mu * np.outer(totals, totals)
-    support = np.isfinite(exponent) & (sigma != 0)
-    if not np.any(support):
-        raise ImpossibleOutcomeError(f"no support for outcome k={k}")
-    weights = np.exp(exponent - np.max(exponent[support]))
-    num = weights * sigma
-    correction = float(np.linalg.norm(num - num.conj().T))
-    if correction > 0.0:
-        log.debug("conditioning symmetrization correction norm %.3e", correction)
-    num = (num + num.conj().T) / 2.0
-    return TwoModeDensity(num / np.trace(num).real, d_a, d_b)
+    post = postselect_pure(state0, params.lam, t, k, kern.u).post_state
+    psi = post.coeffs.reshape(-1)
+    totals = (np.arange(post.d_a)[:, None] + np.arange(post.d_b)[None, :]).reshape(-1)
+    dephasing = np.exp(-kern.mu / 2.0 * np.subtract.outer(totals, totals) ** 2)
+    return TwoModeDensity(dephasing * np.outer(psi, psi.conj()), post.d_a, post.d_b)
 
 
 def short_time_state(state0: TwoModeState, lam: float, t: float, k: int) -> TwoModeState:

@@ -9,7 +9,9 @@ which makes every moment an explicit function of the moments of N^2.
 
 Continuous counting (`photocount`) gives the same mixture with ``(chi t)^2``
 replaced by ``u = 2 g(t)``, so the mixture functions below take the sector
-means, or the scalar u, and each readout only works out its own u.
+means, or the scalar u, and each readout only works out its own u.  Both
+condition through `postselect_pure`; counting then dephases its post-state
+between total-photon sectors.
 """
 
 from __future__ import annotations
@@ -115,23 +117,33 @@ def sample_mixture(state0: TwoModeState, u: float, n_samples: int, seed: int) ->
     return rng.poisson(u * n.astype(float) ** 2)
 
 
-def sector_log_weight(totals: np.ndarray, k: int, h: float) -> np.ndarray:
-    """log(N^k e^(-h N^2)) for each total photon number N in ``totals``;
-    N = 0 keeps weight 1 only for k = 0 (log weight -inf for k >= 1)."""
-    with np.errstate(divide="ignore"):
-        return (k * np.log(totals) if k else 0.0) - h * totals**2
-
-
 def reweight_sectors(evolved: TwoModeState, k: int, h: float) -> TwoModeState:
     """The pure state with coefficients N^k e^(-h N^2) C[m, n], N = m + n,
-    normalized and with its global phase fixed."""
+    normalized and with its global phase fixed.  The weights are taken in
+    log space; N = 0 keeps weight 1 only for k = 0."""
     totals = (np.arange(evolved.d_a)[:, None] + np.arange(evolved.d_b)[None, :]).astype(float)
-    log_w = sector_log_weight(totals, k, h)
+    with np.errstate(divide="ignore"):
+        log_w = (k * np.log(totals) if k else 0.0) - h * totals**2
     support = np.isfinite(log_w) & (evolved.coeffs != 0)
     if not np.any(support):
         raise ImpossibleOutcomeError(f"no support for outcome k={k}")
     coeffs = np.exp(log_w - np.max(log_w[support])) * evolved.coeffs
     return TwoModeState(fix_global_phase(coeffs / np.linalg.norm(coeffs)))
+
+
+def postselect_pure(state0: TwoModeState, lam: float, t: float, k: int, u: float) -> PmOutcome:
+    """Probability of k counts in the mixture with means u N^2, and the pure
+    post-state: the evolved input reweighted by N^k e^(-u N^2 / 2).  Both
+    readouts condition through here (projective u = (chi t)^2, counting
+    u = 2g)."""
+    _check_kt(t, k)
+    probability = mixture_pmf(*sector_means(state0, u), k)
+    if probability < PROBABILITY_FLOOR:
+        raise ImpossibleOutcomeError(
+            f"outcome k={k} at t={t} has probability below {PROBABILITY_FLOOR:g}"
+        )
+    post = reweight_sectors(apply_beam_splitter(state0, lam, t), k, u / 2)
+    return PmOutcome(k=k, t=t, probability=probability, post_state=post)
 
 
 def pm_probability(state0: TwoModeState, chi: float, t: float, k: int) -> float:
@@ -160,14 +172,7 @@ def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int
     inputs the reweighting is a scalar, so the result is the freely evolved
     state, independent of k.
     """
-    _check_kt(t, k)
-    probability = pm_probability(state0, chi, t, k)
-    if probability < PROBABILITY_FLOOR:
-        raise ImpossibleOutcomeError(
-            f"outcome k={k} at t={t} has probability below {PROBABILITY_FLOOR:g}"
-        )
-    post = reweight_sectors(apply_beam_splitter(state0, lam, t), k, (chi * t) ** 2 / 2)
-    return PmOutcome(k=k, t=t, probability=probability, post_state=post)
+    return postselect_pure(state0, lam, t, k, (chi * t) ** 2)
 
 
 def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float, float]:

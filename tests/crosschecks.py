@@ -66,9 +66,9 @@ def single_factorial_series(moments, x_grid: np.ndarray) -> np.ndarray:
 def apply_mixing_series(sigma: np.ndarray, totals: np.ndarray, mu: float, l_max: int) -> np.ndarray:
     """Truncated series sum_l (mu^l / l!) N^l sigma N'^l.
 
-    This is the superoperator form of the mixing factor exp(mu N . N'); the
-    element-wise exponential used by ``postselect_density`` is its exact
-    resummation.
+    This is the superoperator form of the mixing factor exp(mu N . N');
+    ``postselect_density`` resums it exactly, combined with the sector
+    weights e^(-h (N^2 + N'^2)), as exp(-mu (N - N')^2 / 2) e^(-g (N^2 + N'^2)).
     """
     out = np.zeros_like(sigma)
     factor = np.ones_like(sigma, dtype=float)

@@ -1,0 +1,60 @@
+"""The benchmark harness under perfbench/ traces photoent by name: every
+function it wraps must exist, and the work counters read fields of the
+returned objects.  These tests keep the library to that contract."""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import photoent
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_wrapped_name_resolves():
+    tracing = _tracing()
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracing.WRAPPED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"photoent.{module}"), name, None))
+    ]
+    assert missing == []
+    commands = importlib.import_module("photoent.cli")._COMMANDS
+    assert set(tracing.CLI_SUBCOMMANDS) <= set(commands)
+
+
+def test_install_traces_postselect_density():
+    # install() patches module globals, so it runs in a fresh interpreter; the
+    # element count is read from the returned density's .rho
+    script = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+tracer.enabled = True
+from photoent import ModelParams, make_superposition, postselect_density
+state = make_superposition([(0, 0, 1.0), (1, 1, 1.0)])
+postselect_density(state, ModelParams(lam=0.3, chi=0.5, gamma=1.0), 0.8, 1)
+names = [span[0] for span in tracer.spans]
+assert "photocount.postselect_density" in names, names
+assert tracer.counts["photocount.postselect_density.elements"] == 16, dict(tracer.counts)
+"""
+    src = str(Path(photoent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

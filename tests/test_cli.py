@@ -58,6 +58,19 @@ class TestPmDist:
         for r in rows:
             assert abs(float(r[3]) - 1.0) < 1e-8
 
+    def test_row_checksum_covers_unlisted_counts(self, tmp_path):
+        # the checksum sums the whole row 0..max(k), not only the listed k
+        checksums = []
+        for name, ks in (("sparse", [0, 3]), ("dense", [0, 1, 2, 3])):
+            out = tmp_path / name
+            out.mkdir()
+            cfg = write_config(tmp_path, name=f"{name}.json", grids={"gamma_t": [0.5], "k": ks})
+            assert main(["pm-dist", "--config", str(cfg), "--out", str(out)]) == 0
+            _, rows = read_csv(out / "pm_dist.csv")
+            assert [int(r[1]) for r in rows] == ks
+            checksums.append({r[3] for r in rows})
+        assert checksums[0] == checksums[1] and len(checksums[0]) == 1
+
     def test_number_state_column_is_poisson(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -15,12 +15,12 @@ from photoent.oracle import (
     JumpRecord,
     ThreeModeState,
     annihilation,
-    conditional_ab_density,
     embed_with_monitor,
     jump,
     mc_count_histogram,
     monitor_dim,
     no_count_evolution,
+    nt_oracle_point,
     p_k_montecarlo,
     p_k_quadrature,
     trace_monitor,
@@ -165,19 +165,19 @@ class TestConditionalDensity:
         params = ModelParams(lam=0.7, chi=0.5, gamma=1.0)
         s = make_number_state(1, 1, 3, 3)
         for k in (0, 1):
-            rho_or = conditional_ab_density(s, params, 0.9, k)
+            rho_or = nt_oracle_point(s, params, 0.9, k)[1]
             rho_cf = postselect_density(s, params, 0.9, k)
             assert np.max(np.abs(rho_or.rho - rho_cf.rho)) < 1e-6
 
     def test_zero_count_coherent_like(self):
         s = make_superposition([(0, 0, 2.0), (1, 0, 1.0), (0, 1, 1.0), (1, 1, 0.5)])
-        rho_or = conditional_ab_density(s, P, 0.8, 0)
+        rho_or = nt_oracle_point(s, P, 0.8, 0)[1]
         rho_cf = postselect_density(s, P, 0.8, 0)
         assert np.max(np.abs(rho_or.rho - rho_cf.rho)) < 1e-6
 
     def test_single_count_correlated_pair(self):
         s = make_superposition([(0, 0, 1), (1, 1, 1)])
-        rho_or = conditional_ab_density(s, P, 1.0, 1)
+        rho_or = nt_oracle_point(s, P, 1.0, 1)[1]
         rho_cf = postselect_density(s, P, 1.0, 1)
         assert np.max(np.abs(rho_or.rho - rho_cf.rho)) < 1e-6
 
