@@ -13,6 +13,7 @@ Subpackages:
 
 from .fock import (
     ConvergenceError,
+    DephasedState,
     EntanglementReport,
     ImpossibleOutcomeError,
     ModelParams,
@@ -61,6 +62,7 @@ from .projective import (
 __all__ = [
     "ConvergenceError",
     "CountDistribution",
+    "DephasedState",
     "EntanglementReport",
     "ImpossibleOutcomeError",
     "ModelParams",

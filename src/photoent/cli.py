@@ -26,10 +26,10 @@ import numpy as np
 from . import probe as probe_mod
 from .fock import (
     ConvergenceError,
+    DephasedState,
     ImpossibleOutcomeError,
     ModelParams,
     ResourceLimitError,
-    TwoModeDensity,
     TwoModeState,
     make_coherent_product,
     make_number_state,
@@ -208,7 +208,7 @@ def _seed(cfg: dict, args) -> int | None:
     return cfg.get("seed")
 
 
-def density_to_json(rho: TwoModeDensity) -> dict:
+def density_to_json(rho: DephasedState) -> dict:
     """Row-major (m, n)-lexicographic [re, im] pairs; exact round trip."""
     flat = rho.rho.reshape(-1)
     return {

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -133,6 +133,59 @@ class TwoModeDensity:
     @property
     def n_max(self) -> int:
         return self.d_a + self.d_b - 2
+
+
+def _totals(d_a: int, d_b: int) -> np.ndarray:
+    """Total photon number N = m + n on the (d_a, d_b) grid."""
+    return np.arange(d_a)[:, None] + np.arange(d_b)[None, :]
+
+
+def _dephasing(n_max: int, rate: float) -> np.ndarray:
+    """exp(-rate (N - N')^2) for N, N' = 0..n_max."""
+    n = np.arange(n_max + 1, dtype=float)
+    return np.exp(-rate * np.subtract.outer(n, n) ** 2)
+
+
+@dataclass(frozen=True)
+class DephasedState:
+    """Pure state dephased between total-photon sectors:
+    ``rho = exp(-mu (N - N')^2 / 2) psi psi^dag`` with N = m + n, N' = m' + n'.
+
+    Behaves like `TwoModeDensity`; ``rho`` is built once, and
+    `entanglement_report` takes the entropies from ``state`` and ``mu``.
+    """
+
+    state: TwoModeState
+    mu: float
+    rho: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
+        psi = self.state.coeffs.reshape(-1)
+        tot = _totals(self.d_a, self.d_b).reshape(-1)
+        # one dephasing row per total N: rows[N, j] = exp(-mu/2 (N - N_j)^2) psi_j^*
+        rows = psi.conj() * _dephasing(self.n_max, self.mu / 2.0)[:, tot]
+        rho = np.take(rows, tot, axis=0)
+        rho *= psi[:, None]
+        rho.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+
+    @property
+    def d_a(self) -> int:
+        return self.state.d_a
+
+    @property
+    def d_b(self) -> int:
+        return self.state.d_b
+
+    @property
+    def n_max(self) -> int:
+        return self.state.n_max
+
+    @property
+    def trace(self) -> float:
+        return float(np.sum(np.abs(self.state.coeffs) ** 2))
 
 
 @dataclass(frozen=True)
@@ -318,8 +371,7 @@ def number_weights(source: TwoModeState | TwoModeDensity) -> np.ndarray:
         d_a, d_b = source.d_a, source.d_b
         mags = diag.reshape(d_a, d_b)
     weights = np.zeros(d_a + d_b - 1)
-    totals = (np.arange(d_a)[:, None] + np.arange(d_b)[None, :]).ravel()
-    np.add.at(weights, totals, mags.ravel())
+    np.add.at(weights, _totals(d_a, d_b).ravel(), mags.ravel())
     return weights
 
 
@@ -331,9 +383,8 @@ def number_moment(source: TwoModeState | TwoModeDensity, power: int) -> float:
     return float(np.sum(weights * n**power) / total)
 
 
-def density_from_pure(state: TwoModeState) -> TwoModeDensity:
-    psi = state.coeffs.reshape(-1)
-    return TwoModeDensity(np.outer(psi, psi.conj()), state.d_a, state.d_b)
+def density_from_pure(state: TwoModeState) -> DephasedState:
+    return DephasedState(state, 0.0)
 
 
 def partial_trace(rho: TwoModeDensity, keep: str) -> np.ndarray:
@@ -355,22 +406,39 @@ def linear_entropy(mat: np.ndarray) -> float:
     return 1.0 - purity(mat)
 
 
-def entanglement_report(rho: TwoModeDensity) -> EntanglementReport:
+def _sector_entropies(rho: DephasedState) -> tuple[float, float, float]:
+    """S_A, S_B, S_AB of a dephased state from its coefficients C in O(d^3):
+    rho_A = exp(-mu (m - p)^2 / 2) * C C^dag, rho_B = exp(-mu (n - q)^2 / 2) * C^T C^*
+    and Tr rho^2 = sum_NN' exp(-mu (N - N')^2) P_N P_N'."""
+    c, rate = rho.state.coeffs, rho.mu / 2.0
+    s_a = linear_entropy(_dephasing(rho.d_a - 1, rate) * (c @ c.conj().T))
+    s_b = linear_entropy(_dephasing(rho.d_b - 1, rate) * (c.T @ c.conj()))
+    weights = number_weights(rho.state)
+    s_ab = 1.0 - float(weights @ _dephasing(rho.n_max, rho.mu) @ weights)
+    return s_a, s_b, s_ab
+
+
+def entanglement_report(rho: TwoModeDensity | DephasedState) -> EntanglementReport:
     """Linear entropies S = 1 - Tr rho^2 of both marginals and of the joint
     state, the excess S_A + S_B - S_AB, and the two-sided bound check
-    0 <= excess <= 2 min(S_A, S_B)."""
+    0 <= excess <= 2 min(S_A, S_B).  A `DephasedState` is Hermitian by
+    construction and reports from its sectors; a dense density is
+    symmetrized first if needed."""
     tr = rho.trace
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"density trace {tr:.9f} deviates from 1 beyond 1e-6")
-    mat = rho.rho
-    herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_defect > 1e-12:
-        log.debug("symmetrizing density, hermiticity defect %.3e", herm_defect)
-        mat = (mat + mat.conj().T) / 2
-        rho = TwoModeDensity(mat, rho.d_a, rho.d_b)
-    s_a = linear_entropy(partial_trace(rho, "A"))
-    s_b = linear_entropy(partial_trace(rho, "B"))
-    s_ab = linear_entropy(mat)
+    if isinstance(rho, DephasedState):
+        s_a, s_b, s_ab = _sector_entropies(rho)
+    else:
+        mat = rho.rho
+        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+        if herm_defect > 1e-12:
+            log.debug("symmetrizing density, hermiticity defect %.3e", herm_defect)
+            mat = (mat + mat.conj().T) / 2
+            rho = TwoModeDensity(mat, rho.d_a, rho.d_b)
+        s_a = linear_entropy(partial_trace(rho, "A"))
+        s_b = linear_entropy(partial_trace(rho, "B"))
+        s_ab = linear_entropy(mat)
     excess = s_a + s_b - s_ab
     ok = (-1e-10 <= excess) and (excess <= 2.0 * min(s_a, s_b) + 1e-10)
     return EntanglementReport(s_a, s_b, s_ab, excess, ok)

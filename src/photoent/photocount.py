@@ -33,9 +33,9 @@ from scipy.optimize import brentq
 
 from .fock import (
     ConvergenceError,
+    DephasedState,
     ImpossibleOutcomeError,
     ModelParams,
-    TwoModeDensity,
     TwoModeState,
     apply_beam_splitter,
     density_from_pure,
@@ -44,7 +44,7 @@ from .fock import (
 from .projective import (
     TAIL_MASS,
     _check_kt,
-    k_cutoff,
+    mixture_cutoff,
     mixture_moments,
     mixture_pmf,
     mixture_pmf_row,
@@ -146,7 +146,7 @@ def count_probability(state0: TwoModeState, params: ModelParams, t: float, k: in
 
 
 def count_cutoff(state0: TwoModeState, params: ModelParams, t: float, tail: float = TAIL_MASS) -> int:
-    return k_cutoff(eval_kernels(params, t).u * state0.n_max**2, tail)
+    return mixture_cutoff(state0, eval_kernels(params, t).u, tail)
 
 
 def count_distribution_row(
@@ -159,7 +159,7 @@ def count_distribution_row(
 
 def postselect_density(
     state0: TwoModeState, params: ModelParams, t: float, k: int
-) -> TwoModeDensity:
+) -> DephasedState:
     """Conditional AB density after counting k monitor photons by time t.
 
     The pure post-state of the projective readout at u = 2g, psi, dephased
@@ -169,11 +169,7 @@ def postselect_density(
     freely evolved state for every k and gamma.
     """
     kern = eval_kernels(params, t)
-    post = postselect_pure(state0, params.lam, t, k, kern.u).post_state
-    psi = post.coeffs.reshape(-1)
-    totals = (np.arange(post.d_a)[:, None] + np.arange(post.d_b)[None, :]).reshape(-1)
-    dephasing = np.exp(-kern.mu / 2.0 * np.subtract.outer(totals, totals) ** 2)
-    return TwoModeDensity(dephasing * np.outer(psi, psi.conj()), post.d_a, post.d_b)
+    return DephasedState(postselect_pure(state0, params.lam, t, k, kern.u).post_state, kern.mu)
 
 
 def short_time_state(state0: TwoModeState, lam: float, t: float, k: int) -> TwoModeState:

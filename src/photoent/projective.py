@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .fock import (
     ImpossibleOutcomeError,
@@ -91,6 +91,21 @@ def k_cutoff(mean_max: float, tail: float = TAIL_MASS) -> int:
     return (below if pdtr(below, mean_max) >= q else v) + 2
 
 
+def mixture_cutoff(state0: TwoModeState, u: float, tail: float = TAIL_MASS) -> int:
+    """Smallest count cutoff K whose omitted mixture mass
+    sum_N P_N P(Poisson(u N^2) > K) is at most ``tail``, by bisection below
+    the bound `k_cutoff` of the largest representable N (never above it)."""
+    weights, means = sector_means(state0, u)
+    lo, hi = -1, k_cutoff(u * state0.n_max**2, tail)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if weights @ pdtrc(mid, means) <= tail:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def sector_means(state0: TwoModeState, u: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights P_N and component means u N^2 of the count mixture."""
     weights = number_weights(state0)
@@ -154,7 +169,7 @@ def pm_probability(state0: TwoModeState, chi: float, t: float, k: int) -> float:
 
 
 def pm_count_cutoff(state0: TwoModeState, chi: float, t: float, tail: float = TAIL_MASS) -> int:
-    return k_cutoff((chi * t * state0.n_max) ** 2, tail)
+    return mixture_cutoff(state0, (chi * t) ** 2, tail)
 
 
 def pm_distribution_row(state0: TwoModeState, chi: float, t: float, k_max: int) -> np.ndarray:

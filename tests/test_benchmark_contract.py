@@ -1,6 +1,7 @@
 """The benchmark harness under perfbench/ traces photoent by name: every
-function it wraps must exist, and the work counters read fields of the
-returned objects.  These tests keep the library to that contract."""
+function it wraps must exist, the work counters read fields of the returned
+objects, and each workload checks its items' outputs.  These tests keep the
+library to that contract."""
 
 import importlib
 import importlib.util
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import photoent
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -58,3 +60,17 @@ assert tracer.counts["photocount.postselect_density.elements"] == 16, dict(trace
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_entangle_large_round_passes_its_checks(tmp_path, monkeypatch):
+    # one tiny round of the entangle-large workload through its own run and
+    # check: the checks read the dense .rho of every conditional state
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports reference
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.EntangleLarge(3, tmp_path, tiny=True)
+    items = workload.next_round(0)
+    assert len(items) == 3
+    for item in items:
+        workload.check(item, workload.run(item))

@@ -2,11 +2,12 @@
 against scipy.stats.poisson as the reference."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from photoent.projective import k_cutoff, mixture_pmf, mixture_pmf_row
+from photoent import TwoModeState, number_weights
+from photoent.projective import k_cutoff, mixture_cutoff, mixture_pmf, mixture_pmf_row
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -60,3 +61,39 @@ def test_mixture_rows_are_bitwise_the_scalar_form(mix, us, k):
 def test_cutoff_matches_scipy_isf(mean_max, tail):
     expected = 1 if mean_max == 0.0 else int(poisson.isf(tail, mean_max)) + 2
     assert k_cutoff(mean_max, tail) == expected
+
+
+@st.composite
+def sector_states(draw):
+    """States on grids up to 12 x 12 with a random subset of populated
+    entries, so the largest populated N is often below the largest
+    representable one."""
+    d_a = draw(st.integers(min_value=1, max_value=12))
+    d_b = draw(st.integers(min_value=1, max_value=12))
+    size = d_a * d_b
+    mags = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    coeffs = (mags * keep).reshape(d_a, d_b)
+    norm = np.linalg.norm(coeffs)
+    assume(norm > 1e-3)
+    return TwoModeState(coeffs / norm)
+
+
+def omitted_mass(state: TwoModeState, u: float, k_max: int) -> float:
+    weights = number_weights(state)
+    return float(weights @ poisson.sf(k_max, u * np.arange(len(weights)) ** 2))
+
+
+@PROPERTY
+@given(
+    sector_states(),
+    st.one_of(st.floats(min_value=-16.0, max_value=-10.0), st.floats(min_value=-10.0, max_value=2.0)),
+    st.sampled_from([1e-10, 1e-12, 1e-14]),
+)
+def test_mixture_cutoff_is_the_smallest_within_the_tail(state, log_u, tail):
+    u = 10.0**log_u
+    cut = mixture_cutoff(state, u, tail)
+    assert omitted_mass(state, u, cut) <= tail
+    if cut > 0:
+        assert omitted_mass(state, u, cut - 1) > tail
+    assert cut <= k_cutoff(u * state.n_max**2, tail)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,19 @@ class TestPostselectDensity:
             pure = short_time_state(s, params.lam, t, k)
             assert pure_state_fidelity(rho, pure) >= 1.0 - 1e-4
 
+    def test_report_on_a_large_state_allocates_little(self):
+        # d_a = d_b = 51: the dense matrix is 108 MB, the sector report works on 51 x 51
+        s = make_coherent_product(math.sqrt(20.0), math.sqrt(20.0))
+        assert (s.d_a, s.d_b) == (51, 51)
+        rho = postselect_density(s, ModelParams(lam=0.3, chi=0.9, gamma=1.0), 0.3, 10)
+        tracemalloc.start()
+        try:
+            entanglement_report(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6, peak
+
     def test_impossible_outcome(self):
         vac = make_number_state(0, 0, 2, 2)
         with pytest.raises(ImpossibleOutcomeError):
@@ -376,6 +390,22 @@ def test_distribution_row_matches_scalar_form(rng):
     row = count_distribution_row(s, P, 1.1, 10)
     for k in range(11):
         assert abs(row[k] - count_probability(s, P, 1.1, k)) < 1e-15
+
+
+def test_count_cutoff_follows_the_populated_sectors():
+    # README state at eps_trunc 1e-14 (d = 31): the bound from the largest
+    # representable N = 60 gives 5010 at gamma t = 2, though N >= 45 holds < 1e-15
+    from photoent.photocount import count_distribution_row
+    from photoent.projective import k_cutoff
+
+    s = make_coherent_product(math.sqrt(5), math.sqrt(5), eps_trunc=1e-14)
+    params = ModelParams(lam=0.0, chi=0.967, gamma=1.0)
+    for gamma_t, expected, bound in ((2.0, 1958, 5010), (0.08, 6, 14)):
+        kmax = count_cutoff(s, params, gamma_t)
+        assert kmax == expected
+        assert k_cutoff(eval_kernels(params, gamma_t).u * s.n_max**2) == bound
+        row = count_distribution_row(s, params, gamma_t, kmax)
+        assert abs(math.fsum(row) - (1.0 - s.trunc_weight)) <= 2e-12  # tail + rounding
 
 
 def test_sample_counts_reproducible_and_t0_all_zero():

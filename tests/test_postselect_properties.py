@@ -2,12 +2,22 @@
 over the parameter space: the series branch gamma t < 0.5 up to gamma t = 20,
 chi/gamma up to 3 and k up to 200, on states with cutoffs d <= 8."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from photoent import ModelParams, TwoModeState, entanglement_report, postselect_density
+from photoent import (
+    DephasedState,
+    ModelParams,
+    TwoModeDensity,
+    TwoModeState,
+    entanglement_report,
+    postselect_density,
+)
 from photoent.photocount import eval_kernels
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -90,3 +100,44 @@ def test_araki_lieb_and_mode_swap_symmetry(case):
     assert abs(swapped.s_a - report.s_b) <= 1e-12
     assert abs(swapped.s_b - report.s_a) <= 1e-12
     assert abs(swapped.s_ab - report.s_ab) <= 1e-12
+
+
+@PROPERTY
+@given(conditioning())
+def test_sector_report_matches_the_dense_report(case):
+    # the dense report symmetrizes and traces out the (d_a d_b)^2 matrix itself
+    rho = postselect_density(*case)
+    assert isinstance(rho, DephasedState)
+    sector = entanglement_report(rho)
+    dense = entanglement_report(TwoModeDensity(rho.rho, rho.d_a, rho.d_b))
+    assert abs(sector.s_a - dense.s_a) <= 1e-13
+    assert abs(sector.s_b - dense.s_b) <= 1e-13
+    assert abs(sector.s_ab - dense.s_ab) <= 1e-13
+
+
+@PROPERTY
+@given(conditioning())
+def test_density_is_the_dephased_post_state(case):
+    rho = postselect_density(*case)
+    psi = rho.state.coeffs.reshape(-1)
+    totals = (np.arange(rho.d_a)[:, None] + np.arange(rho.d_b)[None, :]).ravel()
+    gap = np.subtract.outer(totals, totals).astype(float)
+    expected = np.exp(-rho.mu * gap**2 / 2.0) * np.outer(psi, psi.conj())
+    assert np.max(np.abs(rho.rho - expected)) <= 1e-15
+    assert rho.mu == eval_kernels(case[1], case[2]).mu
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, -1e-3])
+def test_dephased_state_rejects_bad_mu(mu):
+    with pytest.raises(ValueError, match="mu"):
+        DephasedState(TwoModeState(np.eye(2) / math.sqrt(2.0)), mu)
+
+
+def test_dephased_state_is_read_only_and_keeps_the_trace_check():
+    rho = DephasedState(TwoModeState(np.eye(3) / math.sqrt(3.0)), 0.4)
+    assert not rho.rho.flags.writeable
+    with pytest.raises(ValueError):
+        rho.rho[0, 0] = 0.0
+    lossy = TwoModeState(np.eye(3) * math.sqrt(0.99 / 3.0), trunc_weight=0.01)
+    with pytest.raises(ValueError, match="trace"):
+        entanglement_report(DephasedState(lossy, 0.4))

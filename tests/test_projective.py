@@ -198,6 +198,19 @@ def test_distribution_row_matches_scalar_form(rng):
         assert abs(row[k] - pm_probability(s, 0.8, 0.9, k)) < 1e-15
 
 
+def test_count_cutoff_follows_the_populated_sectors():
+    # README state at eps_trunc 1e-14 (d = 31), chi t = 0.967 * 2
+    from photoent.projective import k_cutoff, pm_distribution_row
+
+    s = make_coherent_product(math.sqrt(5), math.sqrt(5), eps_trunc=1e-14)
+    chi, t = 0.967, 2.0
+    kmax = pm_count_cutoff(s, chi, t)
+    assert kmax == 5778
+    assert k_cutoff((chi * t * s.n_max) ** 2) == 14292
+    row = pm_distribution_row(s, chi, t, kmax)
+    assert abs(math.fsum(row) - (1.0 - s.trunc_weight)) <= 2e-12  # tail + rounding
+
+
 def test_sampling_is_seed_reproducible():
     s = make_coherent_product(1.0, 1.0, eps_trunc=1e-10)
     a = sample_pm_counts(s, 1.0, 0.5, 200, seed=11)
