@@ -424,6 +424,7 @@ def cmd_probe(cfg: dict, out: Path, args) -> int:
                     "flagged_inconsistent": report.fourier.flagged_inconsistent,
                     "total": report.fourier.total},
         "classification": asdict(report.classification),
+        "aliased": report.aliased,
         "reconstruction": None
         if report.reconstruction is None
         else {
@@ -476,13 +477,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--analytic", action="store_true", help="probe: use the configured state")
-        p.add_argument("--records", default=None, help="probe: count-record CSV path")
-        p.add_argument(
-            "--compat-asymptotic",
-            action="store_true",
-            help="probe: normalize moments with the late-time linearized kernel",
-        )
+        if name == "probe":
+            p.add_argument("--analytic", action="store_true", help="use the configured state")
+            p.add_argument("--records", default=None, help="count-record CSV path")
+            p.add_argument(
+                "--compat-asymptotic",
+                action="store_true",
+                help="normalize moments with the late-time linearized kernel",
+            )
     return parser
 
 

@@ -406,15 +406,16 @@ def linear_entropy(mat: np.ndarray) -> float:
     return 1.0 - purity(mat)
 
 
-def _sector_entropies(rho: DephasedState) -> tuple[float, float, float]:
-    """S_A, S_B, S_AB of a dephased state from its coefficients C in O(d^3):
+def _sector_entropies(state: TwoModeState, mu: float) -> tuple[float, float, float]:
+    """S_A, S_B, S_AB of the state dephased by mu, from its coefficients C
+    in O(d^3) without the dense density:
     rho_A = exp(-mu (m - p)^2 / 2) * C C^dag, rho_B = exp(-mu (n - q)^2 / 2) * C^T C^*
     and Tr rho^2 = sum_NN' exp(-mu (N - N')^2) P_N P_N'."""
-    c, rate = rho.state.coeffs, rho.mu / 2.0
-    s_a = linear_entropy(_dephasing(rho.d_a - 1, rate) * (c @ c.conj().T))
-    s_b = linear_entropy(_dephasing(rho.d_b - 1, rate) * (c.T @ c.conj()))
-    weights = number_weights(rho.state)
-    s_ab = 1.0 - float(weights @ _dephasing(rho.n_max, rho.mu) @ weights)
+    c, rate = state.coeffs, mu / 2.0
+    s_a = linear_entropy(_dephasing(state.d_a - 1, rate) * (c @ c.conj().T))
+    s_b = linear_entropy(_dephasing(state.d_b - 1, rate) * (c.T @ c.conj()))
+    weights = number_weights(state)
+    s_ab = 1.0 - float(weights @ _dephasing(state.n_max, mu) @ weights)
     return s_a, s_b, s_ab
 
 
@@ -428,7 +429,7 @@ def entanglement_report(rho: TwoModeDensity | DephasedState) -> EntanglementRepo
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"density trace {tr:.9f} deviates from 1 beyond 1e-6")
     if isinstance(rho, DephasedState):
-        s_a, s_b, s_ab = _sector_entropies(rho)
+        s_a, s_b, s_ab = _sector_entropies(rho.state, rho.mu)
     else:
         mat = rho.rho
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fock import (
     ConvergenceError,
@@ -37,9 +36,8 @@ from .fock import (
     ImpossibleOutcomeError,
     ModelParams,
     TwoModeState,
+    _sector_entropies,
     apply_beam_splitter,
-    density_from_pure,
-    entanglement_report,
 )
 from .projective import (
     TAIL_MASS,
@@ -55,7 +53,6 @@ from .projective import (
 )
 
 _SERIES_CUT = 0.5
-_TM_TIME_TOL = 1e-6  # |gamma * dt| tolerance for the peak-time inversion
 
 
 @dataclass(frozen=True)
@@ -183,67 +180,54 @@ def short_time_state(state0: TwoModeState, lam: float, t: float, k: int) -> TwoM
     return reweight_sectors(evolved, k, 0.0)
 
 
+def _bisect(positive, lo, hi):
+    """Bisect elementwise toward the point where ``positive`` turns false,
+    until lo and hi are adjacent floats; returns lo."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    while True:
+        mid = (lo + hi) / 2.0
+        if ((mid == lo) | (mid == hi)).all():
+            return lo
+        up = positive(mid)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+
+
 def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> float:
     """Time t_m maximizing P(k, t).
 
-    k = 0 has its maximum at the boundary t = 0.  For k >= 1 the probability
-    depends on t only through the increasing reparametrization u = 2g(t), so
-    the search maximizes over u (dense bracket scan plus golden-section, ties
-    resolved toward smaller u) and then inverts g by bracketed root-finding
-    to |gamma dt| <= 1e-6.
+    k = 0 has its maximum at the boundary t = 0.  For k >= 1, P depends on t
+    only through the increasing u = 2g(t).  Each populated component
+    Poisson(k; u N^2) peaks at u = k / N^2, so every maximum of P lies in
+    [k / N_max^2, k / N_min^2].  A log grid with about four samples per
+    component width u / sqrt(k) lands within 1/8 width of every peak; each
+    grid maximum within 2% of the best is refined by bisecting the slope
+    sum_N P_N Poisson(k; u N^2)(k - u N^2), and the highest wins (ties go to
+    the smaller u).  Then g_core(gamma t) = c := u gamma^2 / (4 chi^2) is
+    solved by bisection in [0, c + 3] (g_core(x) >= x - 3) to float resolution.
     """
     _check_kt(0.0, k)
     if k == 0:
         return 0.0
     weights, n_sq = sector_means(state0, 1.0)  # means per unit u: N^2
-    positive = n_sq > 0
-    if not np.any(weights[positive] > 0):
+    populated = (n_sq > 0) & (weights > 0)
+    if not np.any(populated):
         raise ImpossibleOutcomeError(f"P(k={k}, t) vanishes identically for this state")
-    mean_n2 = float(np.sum(weights * n_sq) / np.sum(weights))
-    n_min_sq = float(np.min(n_sq[positive & (weights > 0)]))
-    # bracket covers the Poisson component peaks u = k / N^2 of every
-    # populated sector as well as the mixture-mean heuristic 10k / <N^2>
-    u_hi = max(10.0 * k / mean_n2, 3.0 * k / n_min_sq)
-    grid = np.linspace(u_hi / 2048.0, u_hi, 2048)
+    weights, n_sq = weights[populated], n_sq[populated]
+    lo, hi = k / n_sq[-1], k / n_sq[0]
+    grid = np.geomspace(lo, hi, int(4.0 * math.sqrt(k) * math.log(hi / lo)) + 3)
     vals = mixture_pmf(weights, np.multiply.outer(grid, n_sq), k)
-    best = int(np.argmax(vals))
-    if best == len(grid) - 1:
-        raise ConvergenceError(
-            f"no interior maximum of P(k={k}, t) found below u={u_hi:g}; "
-            f"profile max at the bracket edge (P={vals[best]:g})"
-        )
-    lo = grid[best - 1] if best > 0 else 0.0
-    hi = grid[best + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = mixture_pmf(weights, c * n_sq, k)
-    fd = mixture_pmf(weights, d * n_sq, k)
-    while b - a > 1e-14 * u_hi:
-        if fc > fd:  # strict: plateaus collapse toward smaller u
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = mixture_pmf(weights, c * n_sq, k)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = mixture_pmf(weights, d * n_sq, k)
-    u_star = (a + b) / 2.0
-    g_star = u_star / 2.0
-    t_hi = 1.0 / params.gamma
-    while eval_kernels(params, t_hi).g < g_star:
-        t_hi *= 2.0
-        if t_hi > 1e12 / params.gamma:
-            raise ConvergenceError(f"failed to bracket g(t) = {g_star:g}")
-    return float(
-        brentq(
-            lambda t: eval_kernels(params, t).g - g_star,
-            0.0,
-            t_hi,
-            xtol=_TM_TIME_TOL / params.gamma / 2.0,
-        )
-    )
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    top = (vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= 0.98 * vals.max())
+    fenced = np.concatenate(([lo], grid, [hi]))  # grid[i] lies in [fenced[i], fenced[i + 2]]
+
+    def rising(u):
+        means = np.multiply.outer(u, n_sq)
+        return mixture_pmf(weights * (k - means), means, k) > 0
+
+    u = _bisect(rising, fenced[:-2][top], fenced[2:][top])
+    u_star = u[np.argmax(mixture_pmf(weights, np.multiply.outer(u, n_sq), k))]
+    target = u_star * params.gamma**2 / (4.0 * params.chi**2)
+    return float(_bisect(lambda x: _g_core(float(x)) < target, 0.0, target + 3.0)) / params.gamma
 
 
 def count_mean_variance(
@@ -266,22 +250,26 @@ def entanglement_scan(
 ) -> list[ScanRow]:
     """For each k: the most probable counting time, the excess entropy of the
     pure short-time state, and the excess entropy and joint linear entropy of
-    the conditional density at t_m.  Rows follow the order of ``k_list``."""
+    the conditional density at t_m.  Rows follow the order of ``k_list``.
+    The entropies come from the sectors of the pure states, so no
+    (d_a d_b)^2 density is built."""
     if not k_list:
         raise ValueError("k_list must be nonempty")
     rows = []
     for k in k_list:
         t_m = most_probable_time(state0, params, k)
         short = short_time_state(state0, params.lam, 0.0, k)
-        report_short = entanglement_report(density_from_pure(short))
-        report_tm = entanglement_report(postselect_density(state0, params, t_m, k))
+        short_a, short_b, short_ab = _sector_entropies(short, 0.0)
+        kern = eval_kernels(params, t_m)
+        post = postselect_pure(state0, params.lam, t_m, k, kern.u).post_state
+        s_a, s_b, s_ab = _sector_entropies(post, kern.mu)
         rows.append(
             ScanRow(
                 k=k,
                 t_m=t_m,
-                excess_short_time=report_short.excess,
-                excess_at_tm=report_tm.excess,
-                s_ab_at_tm=report_tm.s_ab,
+                excess_short_time=short_a + short_b - short_ab,
+                excess_at_tm=s_a + s_b - s_ab,
+                s_ab_at_tm=s_ab,
             )
         )
     return rows

@@ -230,6 +230,24 @@ class TestProbeCommand:
         cfg = write_config(tmp_path)
         assert main(["probe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_aliased_flag_written(self, tmp_path):
+        # the default state has N up to 2; j_max = 1 folds N = 2 into C(0..1)
+        for j_max, expected in ((1, True), (None, False)):
+            probe = {"gamma_t": 2.0} if j_max is None else {"gamma_t": 2.0, "j_max": j_max}
+            cfg = write_config(tmp_path, probe=probe)
+            assert main(["probe", "--config", str(cfg), "--out", str(tmp_path), "--analytic"]) == 0
+            report = json.loads((tmp_path / "probe_report.json").read_text())
+            assert report["aliased"] is expected
+
+    @pytest.mark.parametrize("command", ["pm-dist", "count-dist", "scan", "oracle-check", "sample"])
+    def test_probe_flags_rejected_elsewhere(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        for flag in (["--analytic"], ["--records", "counts.csv"], ["--compat-asymptotic"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg), "--out", str(tmp_path), *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSample:
     def test_byte_identical_reruns(self, tmp_path):
@@ -338,7 +356,8 @@ def _package_env():
 def test_cli_import_leaves_out_scipy_stats_and_integrate():
     code = (
         "import sys, photoent.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env(), timeout=120

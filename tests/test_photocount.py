@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import photoent
@@ -30,6 +32,7 @@ from photoent import (
 )
 from photoent.fock import ImpossibleOutcomeError
 from photoent.photocount import count_cutoff, count_distribution
+from photoent.projective import mixture_pmf, sector_means
 
 from conftest import random_state
 from crosschecks import apply_mixing_series, conditioned_trace
@@ -322,7 +325,49 @@ class TestMostProbableTime:
         s = make_number_state(1, 0, 2, 2)
         t_m = most_probable_time(s, P, 2)
         exact = brentq(lambda t: eval_kernels(P, t).u - 2.0, 1e-9, 100.0, xtol=1e-14)
-        assert abs(P.gamma * (t_m - exact)) <= 1e-6
+        assert abs(P.gamma * (t_m - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [93, 100, 1500])
+    def test_global_peak_on_the_readme_state(self, k):
+        # narrow sector peaks: a coarse grid once settled on a lower local
+        # maximum here (1.1% low at k = 100, 39% low at k = 1500)
+        s = make_coherent_product(math.sqrt(5), math.sqrt(5))
+        params = ModelParams(lam=0.0, chi=0.967, gamma=1.0)
+        t_m = most_probable_time(s, params, k)
+        assert count_probability(s, params, t_m, k) >= (1.0 - 1e-9) * fine_grid_peak(s, k)
+
+
+def fine_grid_peak(state, k: int) -> float:
+    """max of P(k) over 10^5 log-spaced u in [k / N_max^2, k / N_min^2], the
+    populated sectors' component peaks, which bracket every maximum."""
+    weights, n_sq = sector_means(state, 1.0)
+    populated = (n_sq > 0) & (weights > 0)
+    weights, n_sq = weights[populated], n_sq[populated]
+    grid = np.geomspace(k / n_sq[-1], k / n_sq[0], 100_000)
+    return max(
+        float(np.max(mixture_pmf(weights, np.multiply.outer(chunk, n_sq), k)))
+        for chunk in np.array_split(grid, 10)
+    )
+
+
+@st.composite
+def superpositions(draw):
+    """Superpositions of |m, n> with m + n <= 8, at least one with N >= 1."""
+    pairs = [(m, n) for m in range(9) for n in range(9 - m)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True))
+    assume(any(m + n > 0 for m, n in chosen))
+    amps = draw(st.lists(st.floats(0.05, 1.0), min_size=len(chosen), max_size=len(chosen)))
+    phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=len(chosen), max_size=len(chosen)))
+    return make_superposition(
+        [(m, n, a * complex(math.cos(p), math.sin(p))) for (m, n), a, p in zip(chosen, amps, phases)]
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(superpositions(), st.integers(min_value=1, max_value=80))
+def test_peak_time_is_the_global_peak(state, k):
+    t_m = most_probable_time(state, P, k)
+    assert count_probability(state, P, t_m, k) >= (1.0 - 1e-9) * fine_grid_peak(state, k)
 
 
 class TestCountMeanVariance:
@@ -381,6 +426,27 @@ class TestEntanglementScan:
         for r in rows[1:]:
             assert 0.0 < r.s_ab_at_tm < 1.0
             assert r.excess_at_tm > r.excess_short_time
+
+    def test_rows_are_the_density_reports(self):
+        s = make_superposition([(0, 0, 1), (1, 1, 0.7), (2, 0, 0.5j), (0, 3, 0.4)])
+        params = ModelParams(lam=0.4, chi=0.8, gamma=1.0)
+        for r in entanglement_scan(s, params, [0, 1, 4]):
+            short = entanglement_report(density_from_pure(short_time_state(s, params.lam, 0.0, r.k)))
+            at_tm = entanglement_report(postselect_density(s, params, r.t_m, r.k))
+            assert r.excess_short_time == short.excess
+            assert (r.excess_at_tm, r.s_ab_at_tm) == (at_tm.excess, at_tm.s_ab)
+
+    def test_scan_on_a_large_state_allocates_little(self):
+        # d = 60: one dense (d_a d_b)^2 density would be 0.21 GB
+        s = make_coherent_product(5.0, 5.0)
+        params = ModelParams(lam=0.3, chi=0.967, gamma=1.0)
+        tracemalloc.start()
+        try:
+            entanglement_scan(s, params, [10])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
 
 
 def test_distribution_row_matches_scalar_form(rng):
