@@ -20,11 +20,21 @@ therefore done per sector as (exchange block unitary) (x) expm(M_N dt) with
 M_N = -i chi N (c + c†) - (gamma/2) c†c, which is exact (the test suite
 cross-checks it against an adaptive Runge-Kutta integration of the full
 generator).
+
+The monitor factor is computed in real arithmetic.  The diagonal gauge
+U = diag((-i)^p) gives U† c U = -i c, so M_N = U W_N U† with the real
+
+    W_N = chi N (c† - c) - (gamma/2) c†c,
+
+and every monitor propagator is U expm(W_N dt) U†.  Only the real
+expm(W_N dt) is computed and cached; the phases of U are applied where a
+complex state is needed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,17 +131,47 @@ def annihilation(dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _monitor_generator(chi: float, gamma: float, n_total: int, d_c: int) -> np.ndarray:
+    """Real W_N = chi N (c† - c) - (gamma/2) c†c, with M_N = U W_N U†."""
     c = annihilation(d_c)
-    mat = -1j * chi * n_total * (c + c.T) - gamma / 2.0 * np.diag(np.arange(d_c, dtype=float))
+    mat = chi * n_total * (c.T - c) - gamma / 2.0 * np.diag(np.arange(d_c, dtype=float))
     mat.setflags(write=False)
     return mat
 
 
-@lru_cache(maxsize=2048)
+class _ByteBoundedCache:
+    """Least-recently-used map to read-only arrays that evicts the oldest
+    entries once their total size exceeds ``budget`` bytes."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._items: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def get(self, key: tuple, make) -> np.ndarray:
+        arr = self._items.get(key)
+        if arr is not None:
+            self._items.move_to_end(key)
+            return arr
+        arr = make()
+        arr.setflags(write=False)
+        self._items[key] = arr
+        self.nbytes += arr.nbytes
+        while self.nbytes > self.budget:
+            self.nbytes -= self._items.popitem(last=False)[1].nbytes
+        return arr
+
+
+# Bounded by bytes, not entries: one oracle-check item (N <= 4, d_c = 38)
+# fills ~18 MB, but 2,048 propagators take 0.3 GB at d_c = 132 and 2.6 GB at
+# MAX_MONITOR_DIM.
+_PROPAGATORS = _ByteBoundedCache(32 * 2**20)
+
+
 def _monitor_propagator(chi: float, gamma: float, n_total: int, d_c: int, tau: float) -> np.ndarray:
-    out = expm(np.asarray(_monitor_generator(chi, gamma, n_total, d_c)) * tau)
-    out.setflags(write=False)
-    return out
+    """Real expm(W_N tau); the monitor propagator is U expm(W_N tau) U†."""
+    return _PROPAGATORS.get(
+        (chi, gamma, n_total, d_c, tau), lambda: expm(_monitor_generator(chi, gamma, n_total, d_c) * tau)
+    )
 
 
 def no_count_evolution(state: ThreeModeState, params: ModelParams, dt: float) -> ThreeModeState:
@@ -143,6 +183,7 @@ def no_count_evolution(state: ThreeModeState, params: ModelParams, dt: float) ->
     out = np.array(state.coeffs, copy=True)
     d_a, d_b, d_c = out.shape
     theta = params.lam * dt
+    phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(d_c) % 4]  # U = diag((-i)^p), exact
     for total in range(d_a + d_b - 1):
         ms, w, v = _bs_block_eig(d_a, d_b, total)
         block = out[ms, total - ms, :]
@@ -151,7 +192,7 @@ def no_count_evolution(state: ThreeModeState, params: ModelParams, dt: float) ->
         if theta != 0.0 and len(ms) > 1:
             block = v @ ((np.exp(-1j * theta * w)[:, None]) * (v.T @ block))
         prop = _monitor_propagator(params.chi, params.gamma, total, d_c, dt)
-        out[ms, total - ms, :] = block @ prop.T
+        out[ms, total - ms, :] = ((block * phase.conj()) @ prop.T) * phase
     return ThreeModeState(out)
 
 
@@ -319,8 +360,14 @@ def mc_count_histogram(
     and cannot influence jump statistics, so it is not simulated).  Waiting
     times are found by threshold crossing of the squared norm, located by
     dyadic bisection to t / base_steps / 2^depth and realigned to the step
-    grid; all interval propagators are cached matrix exponentials of the
-    monitor generator, identical to the `no_count_evolution` blocks.
+    grid; all interval propagators are the cached real expm(W_N dt) that
+    `no_count_evolution` uses.
+
+    Trajectories are carried in the gauge of U = diag((-i)^p), where the
+    monitor factors stay real.  There a count is -i sqrt(gamma) c; the -i is
+    one global phase shared by every sector and the jumped state is
+    renormalized, so it is dropped: it changes no norm, hence no waiting
+    time and no count.
 
     Trajectory j draws its thresholds from the dedicated substream
     ``default_rng([seed, j])``, and the histogram is an integer sum, so the
@@ -338,7 +385,7 @@ def mc_count_histogram(
     delta = t / base_steps
     # transposed propagators per level and sector, so batches advance by
     # stacked row-major matmul (BLAS) instead of einsum
-    props_t = np.empty((depth + 1, n_sectors, d_c, d_c), dtype=complex)
+    props_t = np.empty((depth + 1, n_sectors, d_c, d_c))
     for level in range(depth + 1):
         for si, n_tot in enumerate(sectors):
             props_t[level, si] = _monitor_propagator(
@@ -355,17 +402,12 @@ def mc_count_histogram(
         return np.matmul(phi, props_t[level])
 
     def norms(phi: np.ndarray) -> np.ndarray:
-        mags = np.abs(phi)
-        return np.sum(mags * mags, axis=(0, 2))
+        return np.sum(phi * phi, axis=(0, -1))
 
     def do_jump(phi: np.ndarray) -> np.ndarray:
-        if phi.ndim == 2:
-            out = sqrt_gamma * np.matmul(phi[:, None, :], c_t)[:, 0, :]
-            nrm = math.sqrt(float(np.sum(np.abs(out) ** 2)))
-            return out / max(nrm, 1e-300)
         out = sqrt_gamma * np.matmul(phi, c_t)
-        nrm = np.sqrt(np.sum(np.abs(out) ** 2, axis=(0, 2)))
-        return out / np.maximum(nrm, 1e-300)[None, :, None]
+        nrm = np.sqrt(np.sum(out * out, axis=(0, -1)))
+        return out / np.maximum(nrm, 1e-300)[..., None]
 
     def walk_tail(phi, u, rng, levels, jumps):
         """Sequentially traverse dyadic chunks (sizes delta/2^l for l in
@@ -375,7 +417,7 @@ def mc_count_histogram(
         while stack and jumps <= max_track:
             level = stack[0]
             cand = advance(phi, level)
-            if float(np.sum(np.abs(cand) ** 2)) >= u:
+            if norms(cand) >= u:
                 phi = cand
                 stack.pop(0)
             elif level >= depth:
@@ -390,7 +432,7 @@ def mc_count_histogram(
         n_batch = min(batch_size, n_samples - start)
         rngs = [np.random.default_rng([seed, start + j]) for j in range(n_batch)]
         u = np.array([r.random() for r in rngs])
-        phi = np.zeros((n_sectors, n_batch, d_c), dtype=complex)
+        phi = np.zeros((n_sectors, n_batch, d_c))
         phi[:, :, 0] = amps[:, None]
         jumps = np.zeros(n_batch, dtype=np.int64)
         active = np.ones(n_batch, dtype=bool)

@@ -201,9 +201,11 @@ def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> flo
     [k / N_max^2, k / N_min^2].  A log grid with about four samples per
     component width u / sqrt(k) lands within 1/8 width of every peak; each
     grid maximum within 2% of the best is refined by bisecting the slope
-    sum_N P_N Poisson(k; u N^2)(k - u N^2), and the highest wins (ties go to
-    the smaller u).  Then g_core(gamma t) = c := u gamma^2 / (4 chi^2) is
-    solved by bisection in [0, c + 3] (g_core(x) >= x - 3) to float resolution.
+    sum_N P_N Poisson(k; u N^2)(k - u N^2), and the highest wins.  Peaks
+    within a relative 1e-13 of the highest, the accuracy of the pmf, are ties
+    and go to the smaller u, so rounding cannot pick the peak.  Then
+    g_core(gamma t) = c := u gamma^2 / (4 chi^2) is solved by bisection in
+    [0, c + 3] (g_core(x) >= x - 3) to float resolution.
     """
     _check_kt(0.0, k)
     if k == 0:
@@ -225,7 +227,8 @@ def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> flo
         return mixture_pmf(weights * (k - means), means, k) > 0
 
     u = _bisect(rising, fenced[:-2][top], fenced[2:][top])
-    u_star = u[np.argmax(mixture_pmf(weights, np.multiply.outer(u, n_sq), k))]
+    peaks = mixture_pmf(weights, np.multiply.outer(u, n_sq), k)
+    u_star = np.min(u[peaks >= (1.0 - 1e-13) * peaks.max()])
     target = u_star * params.gamma**2 / (4.0 * params.chi**2)
     return float(_bisect(lambda x: _g_core(float(x)) < target, 0.0, target + 3.0)) / params.gamma
 

@@ -1,7 +1,11 @@
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from photoent import (
     ModelParams,
@@ -10,6 +14,7 @@ from photoent import (
     make_superposition,
     postselect_density,
 )
+from photoent import oracle
 from photoent.fock import ResourceLimitError
 from photoent.oracle import (
     JumpRecord,
@@ -30,6 +35,10 @@ from photoent.photocount import eval_kernels
 from crosschecks import no_count_evolution_ode
 
 P = ModelParams(lam=0.3, chi=0.5, gamma=1.0)
+# nt_oracle_point on criterion 3's state from a complex-arithmetic
+# implementation of the oracle; "support" lists the flattened (m, n) indices
+# of the nonzero rows and columns of each density
+CRITERION_3_POINTS = Path(__file__).parent / "data" / "criterion3_oracle_points.json"
 
 
 def random_three_mode(rng, d_a, d_b, d_c):
@@ -67,6 +76,20 @@ class TestNoCountEvolution:
         fast = no_count_evolution(s, params, 0.7)
         slow = no_count_evolution_ode(s, params, 0.7)
         assert np.max(np.abs(fast.coeffs - slow.coeffs)) < 1e-8
+
+    def test_matches_expm_of_the_complex_monitor_generator(self, rng):
+        # lam = 0: sector N's monitor factor evolves by expm(M_N dt) with
+        # M_N = -i chi N (c + c†) - (gamma/2) c†c, built here from scratch
+        params = ModelParams(lam=0.0, chi=0.5, gamma=1.3)
+        d_c = 24
+        s = random_three_mode(rng, 3, 3, d_c)
+        c = annihilation(d_c)
+        for dt in (0.05, 0.7, 2.0):
+            out = no_count_evolution(s, params, dt)
+            for m, n in [(0, 0), (1, 0), (1, 2), (2, 2)]:
+                gen = -1j * params.chi * (m + n) * (c + c.T) - params.gamma / 2 * (c.T @ c)
+                expected = expm(gen * dt) @ s.coeffs[m, n]
+                assert np.max(np.abs(out.coeffs[m, n] - expected)) < 1e-13, (dt, m, n)
 
     def test_monitor_reaches_damped_driven_coherent_label(self):
         # lam = 0: the monitor factor of the N = 1 sector is the coherent
@@ -181,6 +204,19 @@ class TestConditionalDensity:
         rho_cf = postselect_density(s, P, 1.0, 1)
         assert np.max(np.abs(rho_or.rho - rho_cf.rho)) < 1e-6
 
+    def test_criterion_3_points_are_pinned(self):
+        # real-arithmetic propagation moves these by rounding only
+        ref = json.loads(CRITERION_3_POINTS.read_text())
+        s = make_superposition([tuple(entry) for entry in ref["state"]])
+        params = ModelParams(**ref["params"])
+        support = np.ix_(ref["support"], ref["support"])
+        for point in ref["points"]:
+            prob, rho = nt_oracle_point(s, params, ref["t"], point["k"])
+            assert abs(prob - point["probability"]) <= 1e-13 * point["probability"]
+            expected = np.zeros_like(rho.rho)
+            expected[support] = np.array(point["rho_re"]) + 1j * np.array(point["rho_im"])
+            assert np.max(np.abs(rho.rho - expected)) <= 1e-13, point["k"]
+
     def test_monitor_trace_is_physical(self, rng):
         s = random_three_mode(rng, 3, 3, 10)
         mat = trace_monitor(s)
@@ -194,6 +230,8 @@ class TestMonteCarlo:
         h1 = mc_count_histogram(s, P, 1.5, 2000, seed=9)
         h2 = mc_count_histogram(s, P, 1.5, 2000, seed=9)
         assert np.array_equal(h1, h2)
+        # exact counts of a complex-arithmetic implementation of the sampler
+        assert h1[:7].tolist() == [1325, 518, 126, 24, 6, 1, 0] and h1.sum() == 2000
 
     def test_batch_size_invariance(self):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
@@ -215,6 +253,8 @@ class TestMonteCarlo:
         t = 2.0
         hist = mc_count_histogram(s, P, t, 20000, seed=7)
         n = hist.sum()
+        # exact counts of a complex-arithmetic implementation of the sampler
+        assert hist[:9].tolist() == [9749, 5859, 2747, 1166, 340, 108, 26, 5, 0] and n == 20000
         for k in range(6):
             p_cf = count_probability(s, P, t, k)
             est = hist[k] / n
@@ -240,6 +280,24 @@ class TestMonteCarlo:
 def test_monitor_dim_resource_guard():
     with pytest.raises(ResourceLimitError):
         monitor_dim(ModelParams(lam=0.0, chi=20.0, gamma=1.0), 6)
+
+
+def test_propagator_cache_is_bounded_by_bytes():
+    # N = 4 at chi/gamma = 0.967 needs d_c = 132 (139 kB per propagator);
+    # these two calls make 772 propagators, 0.11 GB
+    params = ModelParams(lam=0.0, chi=0.967, gamma=1.0)
+    s = make_number_state(2, 2, 3, 3)
+    assert monitor_dim(params, s.n_max) == 132
+    cache = oracle._PROPAGATORS
+    tracemalloc.start()
+    try:
+        for t in (0.5, 0.6):
+            p_k_quadrature(s, params, t, 2)
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cache.nbytes <= cache.budget
+    assert grown <= cache.budget + 2**22
 
 
 def test_annihilation_matrix():

@@ -336,6 +336,15 @@ class TestMostProbableTime:
         t_m = most_probable_time(s, params, k)
         assert count_probability(s, params, t_m, k) >= (1.0 - 1e-9) * fine_grid_peak(s, k)
 
+    def test_near_tied_sector_peaks_go_to_the_smaller_u(self):
+        # the N = 2 and N = 4 peaks (u = k/4, k/16) agree to 1e-14 here and
+        # to the last bit from k = 24; rounding once picked N = 2 at k = 23
+        s = make_superposition([(1, 0, 1), (0, 2, 1), (2, 2, 1)])
+        params = ModelParams(lam=0.0, chi=0.967, gamma=1.0)
+        for k in range(20, 25):
+            u = eval_kernels(params, most_probable_time(s, params, k)).u
+            assert abs(u - k / 16) < 0.05 * k / 16, (k, u)
+
 
 def fine_grid_peak(state, k: int) -> float:
     """max of P(k) over 10^5 log-spaced u in [k / N_max^2, k / N_min^2], the
