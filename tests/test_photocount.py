@@ -337,8 +337,8 @@ class TestMostProbableTime:
         assert count_probability(s, params, t_m, k) >= (1.0 - 1e-9) * fine_grid_peak(s, k)
 
     def test_near_tied_sector_peaks_go_to_the_smaller_u(self):
-        # the N = 2 and N = 4 peaks (u = k/4, k/16) agree to 1e-14 here and
-        # to the last bit from k = 24; rounding once picked N = 2 at k = 23
+        # the N = 2 and N = 4 peaks (u = k/4, k/16) agree to < 1e-14 here, so
+        # a bitwise argmax picked N = 2 at k = 20, 21, 23 and N = 4 at 22, 24
         s = make_superposition([(1, 0, 1), (0, 2, 1), (2, 2, 1)])
         params = ModelParams(lam=0.0, chi=0.967, gamma=1.0)
         for k in range(20, 25):
