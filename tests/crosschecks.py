@@ -6,14 +6,16 @@ formula the library corrects (shown to be machine-detectably wrong).
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from photoent import ModelParams, TwoModeState, eval_kernels, number_weights
-from photoent.fock import ConvergenceError
-from photoent.oracle import ThreeModeState
+from photoent.fock import ConvergenceError, _bs_block_eig
+from photoent.oracle import _monitor_generator, monitor_dim
 
 
 def flipped_damping_kernel(params: ModelParams, t: float) -> float:
@@ -80,6 +82,116 @@ def apply_mixing_series(sigma: np.ndarray, totals: np.ndarray, mu: float, l_max:
             factor = factor * nn
         out = out + coeff * factor * sigma
     return out
+
+
+@dataclass(frozen=True)
+class ThreeModeState:
+    """Joint state of modes A, B and the monitor C as a coefficient tensor
+    over (m, n, p).  Conditional branches are left unnormalized; the squared
+    norm is the branch weight."""
+
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.coeffs, dtype=complex, copy=True)
+        if arr.ndim != 3:
+            raise ValueError(f"coeffs must be a 3-d tensor, got shape {arr.shape}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def d_a(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def d_b(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def d_c(self) -> int:
+        return self.coeffs.shape[2]
+
+    @property
+    def norm_sq(self) -> float:
+        return float(np.sum(np.abs(self.coeffs) ** 2))
+
+
+def embed_with_monitor(state: TwoModeState, params: ModelParams, d_c: int | None = None) -> ThreeModeState:
+    """Tensor the AB state with the monitor vacuum."""
+    if d_c is None:
+        d_c = monitor_dim(params, state.n_max)
+    coeffs = np.zeros((state.d_a, state.d_b, d_c), dtype=complex)
+    coeffs[:, :, 0] = state.coeffs
+    return ThreeModeState(coeffs)
+
+
+def no_count_evolution(state: ThreeModeState, params: ModelParams, dt: float) -> ThreeModeState:
+    """Propagate by the no-count semigroup exp(Y dt), sector by sector as
+    (exchange block unitary) (x) U expm(W_N dt) U†.  Norm nonincreasing."""
+    if dt < 0:
+        raise ValueError(f"dt must be >= 0, got {dt}")
+    if dt == 0.0:
+        return state
+    out = np.array(state.coeffs, copy=True)
+    d_a, d_b, d_c = out.shape
+    theta = params.lam * dt
+    phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(d_c) % 4]  # U = diag((-i)^p), exact
+    for total in range(d_a + d_b - 1):
+        ms, w, v = _bs_block_eig(d_a, d_b, total)
+        block = out[ms, total - ms, :]
+        if not np.any(block):
+            continue
+        if theta != 0.0 and len(ms) > 1:
+            block = v @ ((np.exp(-1j * theta * w)[:, None]) * (v.T @ block))
+        prop = expm(_monitor_generator(params.chi, params.gamma, total, d_c) * dt)
+        out[ms, total - ms, :] = ((block * phase.conj()) @ prop.T) * phase
+    return ThreeModeState(out)
+
+
+def jump(state: ThreeModeState, gamma: float) -> ThreeModeState:
+    """One counted photon: apply sqrt(gamma) c on the monitor index.
+    The result is unnormalized."""
+    out = np.zeros_like(state.coeffs)
+    d_c = state.d_c
+    out[:, :, : d_c - 1] = np.sqrt(gamma) * np.sqrt(np.arange(1.0, d_c)) * state.coeffs[:, :, 1:]
+    return ThreeModeState(out)
+
+
+def trace_monitor(state: ThreeModeState) -> np.ndarray:
+    """Unnormalized Tr_C |state><state| as a (d_a d_b, d_a d_b) matrix."""
+    flat = state.coeffs.reshape(state.d_a * state.d_b, state.d_c)
+    return flat @ flat.conj().T
+
+
+def full_tensor_level(
+    state0: TwoModeState, params: ModelParams, t: float, k: int, n_nodes: int, d_c: int
+) -> tuple[float, np.ndarray]:
+    """P(k, t) and the unnormalized Tr_C density of one Gauss-Legendre level
+    (k <= 2), pushing the complex A (x) B (x) C tensor through every jump
+    record: the route the sector Gram engine of `photoent.oracle` replaces."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    s, ws = 0.5 * t * (x + 1.0), 0.5 * t * w
+    if k == 0:
+        records = [((), 1.0)]
+    elif k == 1:
+        records = [((si,), wi) for si, wi in zip(s, ws)]
+    else:
+        records = [
+            ((0.5 * s2 * (x1 + 1.0), s2), 0.5 * s2 * w1 * w2)
+            for s2, w2 in zip(s, ws)
+            for x1, w1 in zip(x, w)
+        ]
+    psi0 = embed_with_monitor(state0, params, d_c)
+    prob, rho = 0.0, 0.0
+    for times, weight in records:
+        cur, prev = psi0, 0.0
+        for si in times:
+            cur = jump(no_count_evolution(cur, params, si - prev), params.gamma)
+            prev = si
+        final = no_count_evolution(cur, params, t - prev)
+        prob += weight * final.norm_sq
+        rho = rho + weight * trace_monitor(final)
+    return prob, rho
 
 
 def no_count_evolution_ode(

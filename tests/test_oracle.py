@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from photoent import (
@@ -17,22 +19,24 @@ from photoent import (
 from photoent import oracle
 from photoent.fock import ResourceLimitError
 from photoent.oracle import (
-    JumpRecord,
-    ThreeModeState,
     annihilation,
-    embed_with_monitor,
-    jump,
     mc_count_histogram,
     monitor_dim,
-    no_count_evolution,
     nt_oracle_point,
     p_k_montecarlo,
     p_k_quadrature,
-    trace_monitor,
 )
 from photoent.photocount import eval_kernels
 
-from crosschecks import no_count_evolution_ode
+from crosschecks import (
+    ThreeModeState,
+    embed_with_monitor,
+    full_tensor_level,
+    jump,
+    no_count_evolution,
+    no_count_evolution_ode,
+    trace_monitor,
+)
 
 P = ModelParams(lam=0.3, chi=0.5, gamma=1.0)
 # nt_oracle_point on criterion 3's state from a complex-arithmetic
@@ -134,15 +138,6 @@ class TestJump:
         once = jump(ThreeModeState(coeffs), 1.0)
         assert abs(once.norm_sq - 1.0) < 1e-12
         assert jump(once, 1.0).norm_sq == 0.0
-
-
-class TestJumpRecord:
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            JumpRecord((0.5, 0.4), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            JumpRecord((0.5, 1.4), 1.0, 1.0)
-        JumpRecord((0.2, 0.5), 1.0, 1.0)
 
 
 class TestQuadrature:
@@ -282,22 +277,94 @@ def test_monitor_dim_resource_guard():
         monitor_dim(ModelParams(lam=0.0, chi=20.0, gamma=1.0), 6)
 
 
-def test_propagator_cache_is_bounded_by_bytes():
+def test_quadrature_retains_no_memory():
     # N = 4 at chi/gamma = 0.967 needs d_c = 132 (139 kB per propagator);
-    # these two calls make 772 propagators, 0.11 GB
+    # these two calls make several hundred propagators and keep none
     params = ModelParams(lam=0.0, chi=0.967, gamma=1.0)
     s = make_number_state(2, 2, 3, 3)
     assert monitor_dim(params, s.n_max) == 132
-    cache = oracle._PROPAGATORS
     tracemalloc.start()
     try:
         for t in (0.5, 0.6):
             p_k_quadrature(s, params, t, 2)
-        grown = tracemalloc.get_traced_memory()[0]
+        retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert cache.nbytes <= cache.budget
-    assert grown <= cache.budget + 2**22
+    assert retained < 2**20
+
+
+@pytest.mark.parametrize("n_nodes", [8, 16])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sector_engine_matches_the_full_tensor(k, n_nodes):
+    # lam != 0 and three populated sectors (N = 1, 2, 3): the exchange
+    # evolution to t and the Gram form against the record-by-record tensor
+    params = ModelParams(lam=0.7, chi=0.4, gamma=1.0)
+    s = make_superposition([(1, 0, 1.0), (0, 2, 0.6j), (2, 1, -0.5 + 0.3j)])
+    t = 1.1
+    prob, rho = oracle._quadrature_level(s, params, t, k, n_nodes, True)
+    ref_prob, ref_rho = full_tensor_level(s, params, t, k, n_nodes, monitor_dim(params, 3))
+    assert abs(prob - ref_prob) <= 1e-12 * ref_prob
+    assert np.max(np.abs(rho - ref_rho)) <= 1e-12
+
+
+class TestInputValidation:
+    s = make_superposition([(1, 0, 1), (0, 2, 1), (2, 2, 1)])
+    params = ModelParams(lam=0.3, chi=0.967, gamma=1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    def test_bad_time_rejected_everywhere(self, t):
+        s, params = self.s, self.params
+        with pytest.raises(ValueError):
+            p_k_quadrature(s, params, t, 0)
+        with pytest.raises(ValueError):
+            nt_oracle_point(s, params, t, 1)
+        with pytest.raises(ValueError):
+            mc_count_histogram(s, params, t, 10, seed=1)
+        with pytest.raises(ValueError):
+            p_k_montecarlo(s, params, t, 0, 1000, seed=1)
+
+    def test_monte_carlo_needs_positive_time(self):
+        with pytest.raises(ValueError):
+            mc_count_histogram(self.s, self.params, 0.0, 10, seed=1)
+
+    @pytest.mark.parametrize("k", [-1, 1.0, 3])
+    def test_bad_quadrature_count_rejected(self, k):
+        with pytest.raises(ValueError):
+            p_k_quadrature(self.s, self.params, 1.0, k)
+        with pytest.raises(ValueError):
+            nt_oracle_point(self.s, self.params, 1.0, k)
+
+    @pytest.mark.parametrize("k", [-1, 1.0, 65])
+    def test_bad_monte_carlo_count_rejected(self, k):
+        # k = -1 used to report the overflow-bin fraction as P(k = -1)
+        with pytest.raises(ValueError):
+            p_k_montecarlo(self.s, self.params, 5.0, k, 1000, seed=1)
+
+
+superposition_entries = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda mn: sum(mn) <= 4),
+    min_size=1,
+    max_size=3,
+    unique=True,
+)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    support=superposition_entries,
+    amps=st.lists(st.complex_numbers(min_magnitude=0.2, max_magnitude=1.0), min_size=3, max_size=3),
+    lam=st.floats(0.0, 1.0),
+    ratio=st.floats(0.1, 0.6),
+    gamma_t=st.floats(0.2, 3.0),
+    k=st.sampled_from([0, 1]),
+)
+def test_oracle_point_matches_the_closed_forms(support, amps, lam, ratio, gamma_t, k):
+    assume(any(m + n > 0 for m, n in support))
+    s = make_superposition([(m, n, c) for (m, n), c in zip(support, amps)])
+    params = ModelParams(lam=lam, chi=ratio, gamma=1.0)
+    prob, rho = nt_oracle_point(s, params, gamma_t, k)
+    assert abs(prob - count_probability(s, params, gamma_t, k)) <= 1e-6
+    assert np.max(np.abs(rho.rho - postselect_density(s, params, gamma_t, k).rho)) <= 1e-6
 
 
 def test_annihilation_matrix():
