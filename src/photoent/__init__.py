@@ -6,7 +6,7 @@ Subpackages:
                     linear-entropy diagnostics
 * ``projective`` -- instantaneous projective readout of the monitor
 * ``photocount`` -- continuous-counting conditioning in closed form
-* ``oracle``     -- brute-force counting on the full three-mode space
+* ``oracle``     -- brute-force counting by jump-time quadrature and trajectories
 * ``probe``      -- state inference from count statistics
 * ``cli``        -- JSON-configured command-line experiments
 """

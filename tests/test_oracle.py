@@ -336,7 +336,7 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("k", [-1, 1.0, 65])
     def test_bad_monte_carlo_count_rejected(self, k):
-        # k = -1 used to report the overflow-bin fraction as P(k = -1)
+        # hist[-1] is the overflow bin, so k = -1 must not index it
         with pytest.raises(ValueError):
             p_k_montecarlo(self.s, self.params, 5.0, k, 1000, seed=1)
 
