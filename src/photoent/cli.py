@@ -36,7 +36,7 @@ from .fock import (
     make_superposition,
     make_two_mode_squeezed,
 )
-from .oracle import nt_oracle_point, p_k_montecarlo, p_k_quadrature
+from .oracle import mc_estimates, nt_oracle_point, p_k_quadrature
 from .photocount import (
     count_distribution,
     count_probability,
@@ -315,9 +315,8 @@ def cmd_oracle_check(cfg: dict, out: Path, args) -> int:
     if k_mc:
         if seed is None:
             raise ConfigError("a seed is required for Monte Carlo checks")
-        for k in k_mc:
+        for k, (est, err) in zip(k_mc, mc_estimates(state, params, t, k_mc, n_samples, seed)):
             p_cf = count_probability(state, params, t, k)
-            est, err = p_k_montecarlo(state, params, t, k, n_samples, seed)
             n_sigma = abs(est - p_cf) / err if err > 0 else float("inf")
             ok &= n_sigma <= 3.0
             report["montecarlo"].append(

@@ -10,7 +10,10 @@ nested time-ordered integral over jump times of no-count segments separated
 by jumps.  Probabilities and conditional densities for k <= 2 come from
 deterministic nested Gauss-Legendre quadrature over the jump-time simplex,
 higher k from Monte Carlo sampling of jump times from the exact
-waiting-time distribution (the norm decay of the no-count semigroup).
+waiting-time distribution (the norm decay of the no-count semigroup).  The
+sampler computes the no-count path shared by all trajectories once and
+reads each first count off its norms; only trajectories that have counted
+are stepped individually.
 
 Y commutes with the total AB photon number N = m + n, and within a sector
 of fixed N the exchange part and the monitor part act on different tensor
@@ -97,9 +100,9 @@ def _check_time(t: float, positive: bool = False) -> None:
         raise ValueError(f"t must be finite and {'> 0' if positive else '>= 0'}, got {t!r}")
 
 
-def _check_count(k: int, k_max: int) -> None:
-    if not (isinstance(k, Integral) and 0 <= k <= k_max):
-        raise ValueError(f"k must be an integer in [0, {k_max}], got {k!r}")
+def _check_int(name: str, value: int, low: int, high: float = math.inf) -> None:
+    if isinstance(value, bool) or not (isinstance(value, Integral) and low <= value <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def _sector_setup(state0: TwoModeState, params: ModelParams):
@@ -167,7 +170,7 @@ def _quadrature(
     """Double the node count until the probability (relative) and, if
     wanted, the normalized density (max element) are stable to rel_tol."""
     _check_time(t)
-    _check_count(k, 2)
+    _check_int("k", k, 0, 2)
     prev = None
     for n in (1,) if k == 0 else _NODE_LADDER:
         prob, rho = _quadrature_level(state0, params, t, k, n, want_density)
@@ -233,6 +236,13 @@ def mc_count_histogram(
     dyadic bisection to t / _BASE_STEPS / 2^_DEPTH and realigned to the step
     grid; the interval propagators are the real expm(W_N dt).
 
+    Until its first count every trajectory carries the same vector, so the
+    no-count path at the step boundaries and its norms are computed once
+    per call.  A trajectory's first count falls in the first step whose
+    end norm is below its threshold; the first counts of a batch are
+    bisected, jumped and realigned together, and only trajectories that
+    have counted are stepped on from the step after their first count.
+
     Trajectories are carried in the gauge of U = diag((-i)^p), where the
     monitor factors stay real.  There a count is -i sqrt(gamma) c; the -i is
     one global phase shared by every sector and the jumped state is
@@ -241,14 +251,17 @@ def mc_count_histogram(
 
     Trajectory j draws its thresholds from the dedicated substream
     ``default_rng([seed, j])``, and the histogram is an integer sum, so the
-    result is reproducible for a fixed seed independent of batch size.
+    result is reproducible for a fixed seed independent of batch size (up to
+    a threshold within rounding of a norm: BLAS may round a row differently
+    in a batch of another size).
     Counts beyond ``_MAX_TRACK`` land in the final overflow bin.  Truncated
     input states are renormalized, so estimates refer to the retained
     support (bias of order trunc_weight).
     """
     _check_time(t, positive=True)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_int("n_samples", n_samples, 1)
+    _check_int("batch_size", batch_size, 1)
+    _check_int("seed", seed, 0)
     sectors, weights, d_c = _sector_setup(state0, params)
     amps = np.sqrt(weights[sectors] / np.sum(weights))
     n_sectors = len(sectors)
@@ -296,57 +309,61 @@ def mc_count_histogram(
                 stack[0:1] = [level + 1, level + 1]
         return phi, u, jumps
 
+    def jump_in_step(low: np.ndarray, prev: np.ndarray) -> None:
+        """Trajectories ``low`` cross their threshold inside the base step
+        that starts at ``prev``: bisect to the first jump, jump, redraw the
+        threshold and realign to the end of the step; exact per-trajectory
+        continuation for the rare second crossing inside the same step.
+        ``prev`` is overwritten."""
+        cur = prev
+        accepted = np.zeros((_DEPTH, low.size), dtype=bool)
+        for level in range(1, _DEPTH + 1):
+            cand = advance(cur, level)
+            ok = norms(cand) >= u[low]
+            cur[:, ok, :] = cand[:, ok, :]
+            accepted[level - 1] = ok
+        pre_jump = cur.copy()
+        cur = do_jump(cur)
+        jumps[low] += 1
+        for j in low:
+            u[j] = rngs[j].random()
+        # realign to the step boundary through the complementary chunks
+        for level in range(1, _DEPTH + 1):
+            rej = ~accepted[level - 1]
+            if np.any(rej):
+                cur[:, rej, :] = advance(cur[:, rej, :], level)
+        phi[:, low, :] = cur = advance(cur, _DEPTH)
+        for pos in np.nonzero(norms(cur) < u[low])[0]:
+            j = int(low[pos])
+            redo = do_jump(pre_jump[:, pos, :])
+            rem_levels = [lv for lv in range(1, _DEPTH + 1) if not accepted[lv - 1, pos]] + [_DEPTH]
+            phi[:, j, :], u[j], jumps[j] = walk_tail(redo, u[j], rngs[j], rem_levels, int(jumps[j]))
+
+    # every trajectory carries the same vector until its first count: the
+    # no-count path at the step boundaries, path[:, s] at time s t / _BASE_STEPS
+    path = np.zeros((n_sectors, _BASE_STEPS + 1, d_c))
+    path[:, 0, 0] = amps
+    for step in range(_BASE_STEPS):
+        path[:, step + 1] = advance(path[:, step], 0)
+    path_norms = norms(path)
     for start in range(0, n_samples, batch_size):
         n_batch = min(batch_size, n_samples - start)
         rngs = [np.random.default_rng([seed, start + j]) for j in range(n_batch)]
         u = np.array([r.random() for r in rngs])
-        phi = np.zeros((n_sectors, n_batch, d_c))
-        phi[:, :, 0] = amps[:, None]
         jumps = np.zeros(n_batch, dtype=np.int64)
-        active = np.ones(n_batch, dtype=bool)
-        for _step in range(_BASE_STEPS):
-            if not np.any(active):
-                break
-            idx_active = np.nonzero(active)[0]
-            prev = phi[:, idx_active, :]
-            stepped = advance(prev, 0)
-            phi[:, idx_active, :] = stepped
-            crossed = norms(stepped) < u[idx_active]
-            low = idx_active[crossed]
-            if low.size:
-                # batched dyadic bisection for the first jump in this step
-                cur = prev[:, crossed, :].copy()
-                accepted = np.zeros((_DEPTH, low.size), dtype=bool)
-                for level in range(1, _DEPTH + 1):
-                    cand = advance(cur, level)
-                    ok = norms(cand) >= u[low]
-                    cur[:, ok, :] = cand[:, ok, :]
-                    accepted[level - 1] = ok
-                pre_jump = cur.copy()
-                cur = do_jump(cur)
-                jumps[low] += 1
-                for j in low:
-                    u[j] = rngs[j].random()
-                # realign to the step boundary through the complementary chunks
-                for level in range(1, _DEPTH + 1):
-                    rej = ~accepted[level - 1]
-                    if np.any(rej):
-                        cur[:, rej, :] = advance(cur[:, rej, :], level)
-                cur = advance(cur, _DEPTH)
-                phi[:, low, :] = cur
-                # rare second crossing inside the same step: exact per-trajectory
-                # continuation from the first-jump state through the remaining chunks
-                again = norms(cur) < u[low]
-                for pos in np.nonzero(again)[0]:
-                    j = int(low[pos])
-                    redo = do_jump(pre_jump[:, pos, :])
-                    rem_levels = [lv for lv in range(1, _DEPTH + 1) if not accepted[lv - 1][pos]]
-                    rem_levels.append(_DEPTH)
-                    out, u_j, nj = walk_tail(redo, u[j], rngs[j], rem_levels, int(jumps[j]))
-                    phi[:, j, :] = out
-                    u[j] = u_j
-                    jumps[j] = nj
-                active[jumps > _MAX_TRACK] = False
+        # the first count falls in the first step whose end norm is below u
+        crossed = path_norms[1:, None] < u
+        first = np.argmax(crossed, axis=0)
+        counted = np.nonzero(crossed.any(axis=0))[0]
+        phi = np.empty((n_sectors, n_batch, d_c))
+        jump_in_step(counted, path[:, first[counted]])
+        for step in range(1, _BASE_STEPS):
+            idx = counted[(first[counted] < step) & (jumps[counted] <= _MAX_TRACK)]
+            prev = phi[:, idx, :]
+            phi[:, idx, :] = stepped = advance(prev, 0)
+            crossed_now = norms(stepped) < u[idx]
+            if np.any(crossed_now):
+                jump_in_step(idx[crossed_now], prev[:, crossed_now, :])
         clipped = np.minimum(jumps, _MAX_TRACK + 1)
         hist += np.bincount(clipped, minlength=_MAX_TRACK + 2)
     return hist
@@ -367,12 +384,16 @@ def p_k_montecarlo(
     the estimate is 0 and the reported error is the one-sided 95% bound 3/n
     (rule of three).
     """
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
-    _check_count(k, _MAX_TRACK)
+    return mc_estimates(state0, params, t, [k], n_samples, seed)[0]
+
+
+def mc_estimates(
+    state0: TwoModeState, params: ModelParams, t: float, ks: list[int], n_samples: int, seed: int
+) -> list[tuple[float, float]]:
+    """``p_k_montecarlo`` for every k in ``ks`` from one histogram."""
+    _check_int("n_samples", n_samples, 1000)
+    for k in ks:
+        _check_int("k", k, 0, _MAX_TRACK)
     hist = mc_count_histogram(state0, params, t, n_samples, seed)
-    hits = int(hist[k])
-    p = hits / n_samples
-    if hits == 0:
-        return 0.0, 3.0 / n_samples
-    return p, math.sqrt(p * (1.0 - p) / n_samples)
+    fractions = [int(hist[k]) / n_samples for k in ks]
+    return [(p, math.sqrt(p * (1.0 - p) / n_samples)) if p > 0 else (0.0, 3.0 / n_samples) for p in fractions]

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import photoent
-from photoent.cli import main
+from photoent import oracle
+from photoent.cli import build_params, build_state, load_config, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -157,6 +158,36 @@ class TestOracleCheck:
         assert report["montecarlo"][0]["k"] == 1
         assert report["montecarlo"][0]["n_sigma"] <= 3.0
         assert report["pass"] is True
+
+    def test_monte_carlo_runs_one_histogram_for_every_k(self, tmp_path, monkeypatch):
+        cfg = write_config(
+            tmp_path,
+            oracle={
+                "gamma_t": 1.5,
+                "k_quadrature": [],
+                "k_density": [],
+                "k_montecarlo": [0, 1, 2],
+                "n_samples": 2000,
+            },
+            seed=13,
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return histogram(*args, **kwargs)
+
+        histogram = oracle.mc_count_histogram
+        monkeypatch.setattr(oracle, "mc_count_histogram", counting)
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        report = json.loads((tmp_path / "oracle_check.json").read_text())
+        loaded = load_config(str(cfg))
+        state, params = build_state(loaded), build_params(loaded)
+        for entry in report["montecarlo"]:
+            expected = oracle.p_k_montecarlo(state, params, 1.5, entry["k"], 2000, 13)
+            assert (entry["estimate"], entry["std_error"]) == expected
 
     def test_monte_carlo_requires_seed(self, tmp_path):
         cfg = write_config(tmp_path, oracle={"k_montecarlo": [1], "n_samples": 2000})

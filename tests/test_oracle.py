@@ -219,6 +219,10 @@ class TestConditionalDensity:
         assert abs(np.trace(mat).real - s.norm_sq) < 1e-12
 
 
+LOW_COUNT_STATE = make_superposition([(1, 0, 1), (0, 2, 1), (1, 1, 0.5 + 0.3j), (2, 2, 1), (0, 3, 1)])
+LOW_COUNT_PARAMS = ModelParams(lam=0.25, chi=0.325, gamma=1.0)
+
+
 class TestMonteCarlo:
     def test_seed_reproducibility(self):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
@@ -233,6 +237,28 @@ class TestMonteCarlo:
         h1 = mc_count_histogram(s, P, 1.5, 1500, seed=3, batch_size=1500)
         h2 = mc_count_histogram(s, P, 1.5, 1500, seed=3, batch_size=256)
         assert np.array_equal(h1, h2)
+
+    def test_low_count_item_is_pinned(self):
+        # most trajectories never count; exact counts of the sampler that
+        # stepped every trajectory through every base step
+        hist = mc_count_histogram(LOW_COUNT_STATE, LOW_COUNT_PARAMS, 0.9, 2000, seed=123)
+        assert hist[:3].tolist() == [1750, 228, 22] and hist.sum() == 2000
+
+    def test_no_trajectory_counts_at_short_times(self):
+        hist = mc_count_histogram(LOW_COUNT_STATE, LOW_COUNT_PARAMS, 0.05, 2000, seed=123)
+        assert hist[0] == 2000 and hist.sum() == 2000
+
+    def test_low_count_batch_size_invariance(self):
+        h1 = mc_count_histogram(LOW_COUNT_STATE, LOW_COUNT_PARAMS, 0.9, 2000, seed=123)
+        h2 = mc_count_histogram(LOW_COUNT_STATE, LOW_COUNT_PARAMS, 0.9, 2000, seed=123, batch_size=256)
+        assert np.array_equal(h1, h2)
+
+    def test_overflow_bin_keeps_every_trajectory(self):
+        s = make_superposition([(1, 0, 1), (2, 1, 1)])
+        hist = mc_count_histogram(s, ModelParams(lam=0.3, chi=1.0, gamma=1.0), 6.0, 20, seed=5)
+        counted = {k: int(n) for k, n in enumerate(hist) if n}
+        assert counted == {9: 2, 10: 2, 12: 1, 13: 1, 15: 1, oracle._MAX_TRACK + 1: 13}
+        assert hist.sum() == 20
 
     def test_two_seeds_agree_within_six_sigma(self):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
@@ -339,6 +365,26 @@ class TestInputValidation:
         # hist[-1] is the overflow bin, so k = -1 must not index it
         with pytest.raises(ValueError):
             p_k_montecarlo(self.s, self.params, 5.0, k, 1000, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [0, -3, True, 2.0, None])
+    def test_bad_sample_count_rejected(self, n_samples):
+        with pytest.raises(ValueError):
+            mc_count_histogram(self.s, self.params, 1.0, n_samples, seed=1)
+        with pytest.raises(ValueError):
+            p_k_montecarlo(self.s, self.params, 1.0, 0, n_samples, seed=1)
+
+    @pytest.mark.parametrize("batch_size", [-5, 0, True, 1.5])
+    def test_bad_batch_size_rejected(self, batch_size):
+        # batch_size = -5 returned an all-zero histogram
+        with pytest.raises(ValueError):
+            mc_count_histogram(self.s, self.params, 1.5, 100, 1, batch_size=batch_size)
+
+    @pytest.mark.parametrize("seed", [None, -1, True, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            mc_count_histogram(self.s, self.params, 1.0, 10, seed=seed)
+        with pytest.raises(ValueError):
+            p_k_montecarlo(self.s, self.params, 1.0, 0, 1000, seed=seed)
 
 
 superposition_entries = st.lists(
