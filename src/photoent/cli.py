@@ -31,6 +31,7 @@ from .fock import (
     ModelParams,
     ResourceLimitError,
     TwoModeState,
+    _check_int,
     make_coherent_product,
     make_number_state,
     make_superposition,
@@ -98,6 +99,15 @@ def _require(cfg: dict, where: str, allowed: set[str], required: set[str]) -> No
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _as_int(value, where: str) -> int:
+    """A nonnegative integer config value; never truncates a float."""
+    try:
+        _check_int(where, value, 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return value
+
+
 def _as_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -147,7 +157,7 @@ def build_state(cfg: dict) -> TwoModeState:
     try:
         if kind == "number":
             _require(section, "state", {"kind", "m", "n", "d_a", "d_b"}, {"m", "n", "d_a", "d_b"})
-            return make_number_state(section["m"], section["n"], section["d_a"], section["d_b"])
+            return make_number_state(*(_as_int(section[k], f"state.{k}") for k in ("m", "n", "d_a", "d_b")))
         if kind == "coherent":
             _require(section, "state", {"kind", "alpha", "beta"}, {"alpha", "beta"})
             return make_coherent_product(
@@ -161,11 +171,12 @@ def build_state(cfg: dict) -> TwoModeState:
             for row in section["entries"]:
                 if len(row) != 4:
                     raise ConfigError("superposition entries are [m, n, re, im] rows")
-                entries.append((int(row[0]), int(row[1]), complex(row[2], row[3])))
+                m, n = (_as_int(v, "state.entries m, n") for v in row[:2])
+                entries.append((m, n, complex(row[2], row[3])))
             return make_superposition(entries)
         if kind == "two-mode-squeezed":
             _require(section, "state", {"kind", "r", "n_max"}, {"r", "n_max"})
-            return make_two_mode_squeezed(float(section["r"]), int(section["n_max"]))
+            return make_two_mode_squeezed(float(section["r"]), _as_int(section["n_max"], "state.n_max"))
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -183,7 +194,8 @@ def gamma_t_grid(cfg: dict) -> np.ndarray:
         return np.asarray(entry, dtype=float)
     if isinstance(entry, dict):
         _require(entry, "grids.gamma_t", {"start", "stop", "num"}, {"start", "stop", "num"})
-        return np.linspace(float(entry["start"]), float(entry["stop"]), int(entry["num"]))
+        num = _as_int(entry["num"], "grids.gamma_t.num")
+        return np.linspace(float(entry["start"]), float(entry["stop"]), num)
     raise ConfigError("grids.gamma_t must be a list or {start, stop, num}")
 
 
@@ -193,19 +205,20 @@ def k_list(cfg: dict, default_max: int) -> list[int]:
         return list(range(default_max + 1))
     if isinstance(entry, dict):
         _require(entry, "grids.k", {"max"}, {"max"})
-        entry = list(range(int(entry["max"]) + 1))
+        entry = list(range(_as_int(entry["max"], "grids.k.max") + 1))
     if not isinstance(entry, list):
         raise ConfigError("grids.k must be a list or {max}")
-    ks = [int(k) for k in entry]
-    if not ks or min(ks) < 0:
-        raise ConfigError("grids.k must name at least one count, all >= 0")
+    ks = [_as_int(k, "grids.k") for k in entry]
+    if not ks:
+        raise ConfigError("grids.k must name at least one count")
     return ks
 
 
 def _seed(cfg: dict, args) -> int | None:
     if args.seed is not None:
         return args.seed
-    return cfg.get("seed")
+    seed = cfg.get("seed")
+    return None if seed is None else _as_int(seed, "seed")
 
 
 def density_to_json(rho: DephasedState) -> dict:
@@ -289,10 +302,10 @@ def cmd_oracle_check(cfg: dict, out: Path, args) -> int:
     gt = float(section.get("gamma_t", 1.0))
     t = gt / params.gamma
     rel_tol = float(section.get("rel_tol", 1e-6))
-    k_quad = [int(k) for k in section.get("k_quadrature", [0, 1, 2])]
-    k_dens = [int(k) for k in section.get("k_density", [0, 1])]
-    k_mc = [int(k) for k in section.get("k_montecarlo", [])]
-    n_samples = int(section.get("n_samples", 100_000))
+    k_quad = [_as_int(k, "oracle.k_quadrature") for k in section.get("k_quadrature", [0, 1, 2])]
+    k_dens = [_as_int(k, "oracle.k_density") for k in section.get("k_density", [0, 1])]
+    k_mc = [_as_int(k, "oracle.k_montecarlo") for k in section.get("k_montecarlo", [])]
+    n_samples = _as_int(section.get("n_samples", 100_000), "oracle.n_samples")
     seed = _seed(cfg, args)
     report: dict = {"gamma_t": gt, "quadrature": [], "density": [], "montecarlo": []}
     ok = True
@@ -371,7 +384,7 @@ def cmd_probe(cfg: dict, out: Path, args) -> int:
         {"gamma_t", "r_max", "j_max", "marginal_n_other", "records"},
         set(),
     )
-    r_max = int(section.get("r_max", probe_mod.DEFAULT_R_MAX))
+    r_max = _as_int(section.get("r_max", probe_mod.DEFAULT_R_MAX), "probe.r_max")
     j_max = section.get("j_max")
     n_other = section.get("marginal_n_other")
     if args.analytic:
@@ -388,12 +401,12 @@ def cmd_probe(cfg: dict, out: Path, args) -> int:
         moments = probe_mod.empirical_moments(records, params, r_max=r_max)
         if j_max is None:
             raise ConfigError("probe.j_max is required for empirical records")
-    x_points = int(cfg.get("grids", {}).get("x_points", 512))
+    x_points = _as_int(cfg.get("grids", {}).get("x_points", 512), "grids.x_points")
     report = probe_mod.probe_report(
         moments,
         x_points=x_points,
-        j_max=None if j_max is None else int(j_max),
-        marginal_n_other=None if n_other is None else int(n_other),
+        j_max=None if j_max is None else _as_int(j_max, "probe.j_max"),
+        marginal_n_other=None if n_other is None else _as_int(n_other, "probe.marginal_n_other"),
     )
     cfg_hash = config_sha256(cfg)
     h = report.h_samples
@@ -447,7 +460,7 @@ def cmd_sample(cfg: dict, out: Path, args) -> int:
         raise ConfigError("sample requires a seed (config 'seed' or --seed)")
     gt = float(section["gamma_t"])
     t = gt / params.gamma
-    n = int(section["n_samples"])
+    n = _as_int(section["n_samples"], "sample.n_samples")
     ks = sample_counts(state, params, t, n, seed)
     rows = [[int(k), t, 1.0] for k in ks]
     write_csv(out / "sample.csv", ["k", "t", "weight"], rows, config_sha256(cfg))

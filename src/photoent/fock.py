@@ -19,6 +19,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -39,6 +40,16 @@ class ImpossibleOutcomeError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative scheme did not reach its target tolerance."""
+
+
+def _check_time(t: float, positive: bool = False) -> None:
+    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
+        raise ValueError(f"t must be finite and {'> 0' if positive else '>= 0'}, got {t!r}")
+
+
+def _check_int(name: str, value: int, low: int, high: float = math.inf) -> None:
+    if isinstance(value, bool) or not (isinstance(value, Integral) and low <= value <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 @dataclass(frozen=True)

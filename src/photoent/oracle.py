@@ -12,8 +12,9 @@ deterministic nested Gauss-Legendre quadrature over the jump-time simplex,
 higher k from Monte Carlo sampling of jump times from the exact
 waiting-time distribution (the norm decay of the no-count semigroup).  The
 sampler computes the no-count path shared by all trajectories once and
-reads each first count off its norms; only trajectories that have counted
-are stepped individually.
+reads each first count off its norms; trajectories that have counted are
+stepped together, and every count inside a step is located by one batched
+bisection.
 
 Y commutes with the total AB photon number N = m + n, and within a sector
 of fixed N the exchange part and the monitor part act on different tensor
@@ -45,7 +46,6 @@ generator by adaptive Runge-Kutta to cross-check this.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 from scipy.linalg import expm
@@ -56,10 +56,12 @@ from .fock import (
     ResourceLimitError,
     TwoModeDensity,
     TwoModeState,
+    _check_int,
+    _check_time,
+    _totals,
     apply_beam_splitter,
     number_weights,
 )
-from .fock import _totals
 
 MAX_MONITOR_DIM = 400
 # Gauss-Legendre nodes per jump, doubled until two levels agree
@@ -93,16 +95,6 @@ def _monitor_generator(chi: float, gamma: float, n_total: int, d_c: int) -> np.n
     """Real W_N = chi N (c† - c) - (gamma/2) c†c, with M_N = U W_N U†."""
     c = annihilation(d_c)
     return chi * n_total * (c.T - c) - gamma / 2.0 * np.diag(np.arange(d_c, dtype=float))
-
-
-def _check_time(t: float, positive: bool = False) -> None:
-    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
-        raise ValueError(f"t must be finite and {'> 0' if positive else '>= 0'}, got {t!r}")
-
-
-def _check_int(name: str, value: int, low: int, high: float = math.inf) -> None:
-    if isinstance(value, bool) or not (isinstance(value, Integral) and low <= value <= high):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def _sector_setup(state0: TwoModeState, params: ModelParams):
@@ -238,10 +230,11 @@ def mc_count_histogram(
 
     Until its first count every trajectory carries the same vector, so the
     no-count path at the step boundaries and its norms are computed once
-    per call.  A trajectory's first count falls in the first step whose
-    end norm is below its threshold; the first counts of a batch are
-    bisected, jumped and realigned together, and only trajectories that
-    have counted are stepped on from the step after their first count.
+    per call; a trajectory's first count falls in the first step whose end
+    norm is below its threshold.  Every count inside a step, first or later,
+    is located by one batched routine (``jump_in_step``), whose walk to the
+    step end after a count, largest chunk first, is exact in time; another
+    grouping of the same propagator products can round a norm differently.
 
     Trajectories are carried in the gauge of U = diag((-i)^p), where the
     monitor factors stay real.  There a count is -i sqrt(gamma) c; the -i is
@@ -277,9 +270,7 @@ def mc_count_histogram(
     hist = np.zeros(_MAX_TRACK + 2, dtype=np.int64)
 
     def advance(phi: np.ndarray, level: int) -> np.ndarray:
-        # phi: (n_sectors, ..., d_c); stacked row-vector times E_s^T
-        if phi.ndim == 2:  # single trajectory: per-sector gemv beats matmul here
-            return np.stack([phi[s] @ props_t[level, s] for s in range(n_sectors)])
+        # phi: (n_sectors, batch, d_c); stacked row-vector times E_s^T
         return np.matmul(phi, props_t[level])
 
     def norms(phi: np.ndarray) -> np.ndarray:
@@ -290,61 +281,44 @@ def mc_count_histogram(
         nrm = np.sqrt(np.sum(out * out, axis=(0, -1)))
         return out / np.maximum(nrm, 1e-300)[..., None]
 
-    def walk_tail(phi, u, rng, levels, jumps):
-        """Sequentially traverse dyadic chunks (sizes t/_BASE_STEPS/2^l for l in
-        `levels`), splitting on threshold crossings; exact continuation for
-        the rare second jump inside one coarse step."""
-        stack = list(levels)
-        while stack and jumps <= _MAX_TRACK:
-            level = stack[0]
-            cand = advance(phi, level)
-            if norms(cand) >= u:
-                phi = cand
-                stack.pop(0)
-            elif level >= _DEPTH:
-                phi = do_jump(phi)
-                jumps += 1
-                u = rng.random()
-            else:
-                stack[0:1] = [level + 1, level + 1]
-        return phi, u, jumps
-
-    def jump_in_step(low: np.ndarray, prev: np.ndarray) -> None:
+    def jump_in_step(low: np.ndarray, cur: np.ndarray) -> None:
         """Trajectories ``low`` cross their threshold inside the base step
-        that starts at ``prev``: bisect to the first jump, jump, redraw the
-        threshold and realign to the end of the step; exact per-trajectory
-        continuation for the rare second crossing inside the same step.
-        ``prev`` is overwritten."""
-        cur = prev
-        accepted = np.zeros((_DEPTH, low.size), dtype=bool)
-        for level in range(1, _DEPTH + 1):
-            cand = advance(cur, level)
-            ok = norms(cand) >= u[low]
-            cur[:, ok, :] = cand[:, ok, :]
-            accepted[level - 1] = ok
-        pre_jump = cur.copy()
-        cur = do_jump(cur)
-        jumps[low] += 1
-        for j in low:
-            u[j] = rngs[j].random()
-        # realign to the step boundary through the complementary chunks
-        for level in range(1, _DEPTH + 1):
-            rej = ~accepted[level - 1]
-            if np.any(rej):
-                cur[:, rej, :] = advance(cur[:, rej, :], level)
-        phi[:, low, :] = cur = advance(cur, _DEPTH)
-        for pos in np.nonzero(norms(cur) < u[low])[0]:
-            j = int(low[pos])
-            redo = do_jump(pre_jump[:, pos, :])
-            rem_levels = [lv for lv in range(1, _DEPTH + 1) if not accepted[lv - 1, pos]] + [_DEPTH]
-            phi[:, j, :], u[j], jumps[j] = walk_tail(redo, u[j], rngs[j], rem_levels, int(jumps[j]))
+        that starts at ``cur``; leave them at the end of the step.
+
+        ``room``, the part of the step still ahead, counts finest chunks of
+        t / _BASE_STEPS / 2^_DEPTH.  Each round bisects to the last finest
+        grid point whose norm is at or above the threshold (taking only
+        chunks that end before the step does), jumps there, draws the next
+        threshold, and walks the rest of the step largest chunk first;
+        trajectories whose step-end norm is below the new threshold go round
+        again from just after their jump.  ``cur`` is overwritten."""
+        room = np.full(low.size, 1 << _DEPTH, dtype=np.int64)
+        while low.size:
+            for level in range(1, _DEPTH + 1):
+                chunk = 1 << (_DEPTH - level)
+                cand = advance(cur, level)
+                ok = (chunk < room) & (norms(cand) >= u[low])
+                cur[:, ok, :] = cand[:, ok, :]
+                room[ok] -= chunk
+            cur = do_jump(cur)
+            jumps[low] += 1
+            for j in low:
+                u[j] = rngs[j].random()
+            after = cur.copy()
+            for level in range(_DEPTH + 1):
+                take = (room & (1 << (_DEPTH - level))) != 0
+                if np.any(take):
+                    cur[:, take, :] = advance(cur[:, take, :], level)
+            phi[:, low, :] = cur
+            again = (norms(cur) < u[low]) & (jumps[low] <= _MAX_TRACK)
+            low, cur, room = low[again], after[:, again, :], room[again]
 
     # every trajectory carries the same vector until its first count: the
     # no-count path at the step boundaries, path[:, s] at time s t / _BASE_STEPS
     path = np.zeros((n_sectors, _BASE_STEPS + 1, d_c))
     path[:, 0, 0] = amps
     for step in range(_BASE_STEPS):
-        path[:, step + 1] = advance(path[:, step], 0)
+        path[:, step + 1 : step + 2] = advance(path[:, step : step + 1], 0)
     path_norms = norms(path)
     for start in range(0, n_samples, batch_size):
         n_batch = min(batch_size, n_samples - start)

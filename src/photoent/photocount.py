@@ -36,12 +36,13 @@ from .fock import (
     ImpossibleOutcomeError,
     ModelParams,
     TwoModeState,
+    _check_int,
+    _check_time,
     _sector_entropies,
     apply_beam_splitter,
 )
 from .projective import (
     TAIL_MASS,
-    _check_kt,
     mixture_cutoff,
     mixture_moments,
     mixture_pmf,
@@ -122,7 +123,7 @@ def eval_kernels(params: ModelParams, t: float) -> SdKernels:
 
     Raises ConvergenceError if the trace identity 2h - mu = 2g fails.
     """
-    _check_kt(t, 0)
+    _check_time(t)
     x = params.gamma * t
     scale = 2.0 * params.chi**2 / params.gamma**2
     g = scale * _g_core(x)
@@ -138,7 +139,7 @@ def eval_kernels(params: ModelParams, t: float) -> SdKernels:
 
 def count_probability(state0: TwoModeState, params: ModelParams, t: float, k: int) -> float:
     """P(k, t) = sum_N P_N Poisson(k; 2 g(t) N^2)."""
-    _check_kt(t, k)
+    _check_int("k", k, 0)
     return mixture_pmf(*sector_means(state0, eval_kernels(params, t).u), k)
 
 
@@ -150,7 +151,7 @@ def count_distribution_row(
     state0: TwoModeState, params: ModelParams, t: float, k_max: int
 ) -> np.ndarray:
     """P(k, t) for k = 0..k_max; row-vectorized version of `count_probability`."""
-    _check_kt(t, k_max)
+    _check_int("k_max", k_max, 0)
     return mixture_pmf_row(*sector_means(state0, eval_kernels(params, t).u), k_max)
 
 
@@ -173,7 +174,8 @@ def short_time_state(state0: TwoModeState, lam: float, t: float, k: int) -> TwoM
     """Pure short-time approximation of the k-count conditional state:
     N^k applied to the evolved input, normalized.  k = 0 returns the evolved
     state unchanged (up to the global-phase convention)."""
-    _check_kt(t, k)
+    _check_time(t)
+    _check_int("k", k, 0)
     evolved = apply_beam_splitter(state0, lam, t)
     if k == 0:
         return evolved
@@ -207,7 +209,7 @@ def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> flo
     g_core(gamma t) = c := u gamma^2 / (4 chi^2) is solved by bisection in
     [0, c + 3] (g_core(x) >= x - 3) to float resolution.
     """
-    _check_kt(0.0, k)
+    _check_int("k", k, 0)
     if k == 0:
         return 0.0
     weights, n_sq = sector_means(state0, 1.0)  # means per unit u: N^2
@@ -242,7 +244,7 @@ def count_mean_variance(
     ``asymptotic=True`` replaces u by its late-time linearization
     (2 chi/gamma)^2 gamma t.
     """
-    _check_kt(t, 0)
+    _check_time(t)
     if asymptotic:
         return mixture_moments(state0, (2.0 * params.chi / params.gamma) ** 2 * params.gamma * t)
     return mixture_moments(state0, eval_kernels(params, t).u)

@@ -26,6 +26,8 @@ from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 from .fock import (
     ImpossibleOutcomeError,
     TwoModeState,
+    _check_int,
+    _check_time,
     apply_beam_splitter,
     fix_global_phase,
     number_moment,
@@ -52,13 +54,6 @@ class PmOutcome:
     t: float
     probability: float
     post_state: TwoModeState
-
-
-def _check_kt(t: float, k: int) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    if k < 0 or int(k) != k:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
 
 
 def _poisson_pmf(k, means):
@@ -151,7 +146,8 @@ def postselect_pure(state0: TwoModeState, lam: float, t: float, k: int, u: float
     post-state: the evolved input reweighted by N^k e^(-u N^2 / 2).  Both
     readouts condition through here (projective u = (chi t)^2, counting
     u = 2g)."""
-    _check_kt(t, k)
+    _check_time(t)
+    _check_int("k", k, 0)
     probability = mixture_pmf(*sector_means(state0, u), k)
     if probability < PROBABILITY_FLOOR:
         raise ImpossibleOutcomeError(
@@ -164,7 +160,8 @@ def postselect_pure(state0: TwoModeState, lam: float, t: float, k: int, u: float
 def pm_probability(state0: TwoModeState, chi: float, t: float, k: int) -> float:
     """Probability of finding k photons in the monitor at time t,
     sum_N P_N Poisson(k; (chi t N)^2)."""
-    _check_kt(t, k)
+    _check_time(t)
+    _check_int("k", k, 0)
     return mixture_pmf(*sector_means(state0, (chi * t) ** 2), k)
 
 
@@ -174,7 +171,8 @@ def pm_count_cutoff(state0: TwoModeState, chi: float, t: float, tail: float = TA
 
 def pm_distribution_row(state0: TwoModeState, chi: float, t: float, k_max: int) -> np.ndarray:
     """P(k, t) for k = 0..k_max; row-vectorized version of `pm_probability`."""
-    _check_kt(t, k_max)
+    _check_time(t)
+    _check_int("k_max", k_max, 0)
     return mixture_pmf_row(*sector_means(state0, (chi * t) ** 2), k_max)
 
 
@@ -199,7 +197,7 @@ def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float,
     variance returned here is that of the full distribution, i.e. it
     includes the Poisson shot-noise term ``k_mean``.
     """
-    _check_kt(t, 0)
+    _check_time(t)
     return mixture_moments(state0, (chi * t) ** 2)
 
 

@@ -127,6 +127,9 @@ def test_criterion_3_oracle_equivalence():
         assert abs(p_closed - p_oracle) <= 1e-6, (k, p_closed, p_oracle)
         rho_closed = postselect_density(state, params, t, k)
         assert np.max(np.abs(rho_closed.rho - rho_oracle.rho)) <= 1e-6, k
+        got, want = entanglement_report(rho_oracle), entanglement_report(rho_closed)
+        assert abs(got.excess - want.excess) <= 1e-6, (k, got, want)
+        assert abs(got.s_ab - want.s_ab) <= 1e-6, (k, got, want)
     hist = mc_count_histogram(state, params, t, 100_000, seed=42)
     n = int(hist.sum())
     for k in (3, 4, 5):

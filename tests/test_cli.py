@@ -340,6 +340,37 @@ class TestConfigValidation:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "pm_dist.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command,overrides,field",
+        [
+            ("sample", {"sample": {"gamma_t": 1.0, "n_samples": 10}, "seed": 2.5}, "seed"),
+            ("sample", {"sample": {"gamma_t": 1.0, "n_samples": 10}, "seed": "7"}, "seed"),
+            ("sample", {"sample": {"gamma_t": 1.0, "n_samples": 3.99}, "seed": 7}, "sample.n_samples"),
+            ("pm-dist", {"grids": {"gamma_t": [0.5], "k": [0.9, 2.5]}}, "grids.k"),
+            ("pm-dist", {"grids": {"gamma_t": [0.5], "k": [True]}}, "grids.k"),
+            ("pm-dist", {"grids": {"gamma_t": [0.5], "k": {"max": 2.5}}}, "grids.k.max"),
+            ("pm-dist", {"grids": {"gamma_t": {"start": 0, "stop": 1, "num": 4.5}}}, "grids.gamma_t.num"),
+            ("pm-dist", {"state": {"kind": "superposition", "entries": [[1.7, 0, 1.0, 0.0]]}}, "state.entries"),
+            ("pm-dist", {"state": {"kind": "superposition", "entries": [[1, "0", 1.0, 0.0]]}}, "state.entries"),
+            ("pm-dist", {"state": {"kind": "number", "m": 1.0, "n": 0, "d_a": 2, "d_b": 1}}, "state.m"),
+            ("pm-dist", {"state": {"kind": "two-mode-squeezed", "r": 0.5, "n_max": 2.5}}, "state.n_max"),
+            ("oracle-check", {"oracle": {"k_quadrature": [1.5]}}, "oracle.k_quadrature"),
+            ("oracle-check", {"oracle": {"k_density": [True]}}, "oracle.k_density"),
+            ("oracle-check", {"oracle": {"k_montecarlo": ["2"]}, "seed": 1}, "oracle.k_montecarlo"),
+            ("oracle-check", {"oracle": {"k_montecarlo": [2], "n_samples": 2000.5}, "seed": 1}, "oracle.n_samples"),
+            ("probe", {"probe": {"r_max": 2.5}}, "probe.r_max"),
+            ("probe", {"probe": {"j_max": 3.5}}, "probe.j_max"),
+            ("probe", {"probe": {"marginal_n_other": 1.5}}, "probe.marginal_n_other"),
+            ("probe", {"grids": {"x_points": 100.5}}, "grids.x_points"),
+        ],
+    )
+    def test_non_integer_field_rejected(self, tmp_path, capsys, command, overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        flags = ["--analytic"] if command == "probe" else []
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path), *flags]) == 2
+        assert field in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
+
     def test_non_finite_time_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grids={"gamma_t": [0.5, math.nan]})
         assert main(["count-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 2

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 from photoent import (
     ModelParams,
     count_probability,
+    entanglement_report,
     make_number_state,
     make_superposition,
     postselect_density,
@@ -282,6 +283,19 @@ class TestMonteCarlo:
             se = math.sqrt(max(est * (1 - est), 1e-12) / n)
             assert abs(est - p_cf) <= 3.0 * se
 
+    def test_many_counts_per_base_step_match_the_closed_form(self):
+        # |2, 0> at chi = gamma = 1 counts about 24 photons by gamma t = 4,
+        # so most trajectories count more than once inside some base step
+        s = make_number_state(2, 0, 3, 1)
+        params = ModelParams(lam=0.0, chi=1.0, gamma=1.0)
+        n = 1000
+        hist = mc_count_histogram(s, params, 4.0, n, seed=11)
+        p_cf = np.array([count_probability(s, params, 4.0, k) for k in range(len(hist) - 1)])
+        ks = np.nonzero(n * p_cf >= 20)[0]
+        z = (hist[ks] / n - p_cf[ks]) / np.sqrt(p_cf[ks] * (1.0 - p_cf[ks]) / n)
+        assert ks.size >= 10 and np.max(np.abs(z)) <= 4.0
+        assert hist.sum() == n
+
     def test_far_tail_reports_one_sided_bound(self):
         s = make_number_state(1, 0, 2, 2)
         est, err = p_k_montecarlo(s, P, 0.5, 40, 1000, seed=4)
@@ -353,12 +367,15 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             mc_count_histogram(self.s, self.params, 0.0, 10, seed=1)
 
-    @pytest.mark.parametrize("k", [-1, 1.0, 3])
+    @pytest.mark.parametrize("k", [-1, 1.0, 3, True, 2.0, "a"])
     def test_bad_quadrature_count_rejected(self, k):
         with pytest.raises(ValueError):
             p_k_quadrature(self.s, self.params, 1.0, k)
         with pytest.raises(ValueError):
             nt_oracle_point(self.s, self.params, 1.0, k)
+        if k != 3:  # the closed forms take any count >= 0 under the same rule
+            with pytest.raises(ValueError):
+                count_probability(self.s, self.params, 1.0, k)
 
     @pytest.mark.parametrize("k", [-1, 1.0, 65])
     def test_bad_monte_carlo_count_rejected(self, k):
@@ -410,7 +427,11 @@ def test_oracle_point_matches_the_closed_forms(support, amps, lam, ratio, gamma_
     params = ModelParams(lam=lam, chi=ratio, gamma=1.0)
     prob, rho = nt_oracle_point(s, params, gamma_t, k)
     assert abs(prob - count_probability(s, params, gamma_t, k)) <= 1e-6
-    assert np.max(np.abs(rho.rho - postselect_density(s, params, gamma_t, k).rho)) <= 1e-6
+    closed = postselect_density(s, params, gamma_t, k)
+    assert np.max(np.abs(rho.rho - closed.rho)) <= 1e-6
+    got, want = entanglement_report(rho), entanglement_report(closed)
+    assert abs(got.excess - want.excess) <= 1e-6
+    assert abs(got.s_ab - want.s_ab) <= 1e-6
 
 
 def test_annihilation_matrix():
