@@ -294,14 +294,13 @@ def cmd_oracle_check(cfg: dict, out: Path, args) -> int:
     _require(
         section,
         "oracle",
-        {"gamma_t", "k_quadrature", "k_montecarlo", "k_density", "n_samples", "rel_tol"},
+        {"gamma_t", "k_quadrature", "k_montecarlo", "k_density", "n_samples"},
         set(),
     )
     if state.n_max > 6:
         raise ConfigError(f"oracle checks need total photon number <= 6, state has {state.n_max}")
     gt = float(section.get("gamma_t", 1.0))
     t = gt / params.gamma
-    rel_tol = float(section.get("rel_tol", 1e-6))
     k_quad = [_as_int(k, "oracle.k_quadrature") for k in section.get("k_quadrature", [0, 1, 2])]
     k_dens = [_as_int(k, "oracle.k_density") for k in section.get("k_density", [0, 1])]
     k_mc = [_as_int(k, "oracle.k_montecarlo") for k in section.get("k_montecarlo", [])]
@@ -311,7 +310,7 @@ def cmd_oracle_check(cfg: dict, out: Path, args) -> int:
     ok = True
     for k in k_quad:
         p_cf = count_probability(state, params, t, k)
-        p_or = p_k_quadrature(state, params, t, k, rel_tol=rel_tol)
+        p_or = p_k_quadrature(state, params, t, k)
         delta = abs(p_cf - p_or)
         ok &= delta <= 1e-6
         report["quadrature"].append(
@@ -319,7 +318,7 @@ def cmd_oracle_check(cfg: dict, out: Path, args) -> int:
         )
     for k in k_dens:
         rho_cf = postselect_density(state, params, t, k)
-        rho_or = nt_oracle_point(state, params, t, k, rel_tol=rel_tol)[1]
+        rho_or = nt_oracle_point(state, params, t, k)[1]
         delta = float(np.max(np.abs(rho_cf.rho - rho_or.rho)))
         ok &= delta <= 1e-6
         report["density"].append(
@@ -390,9 +389,7 @@ def cmd_probe(cfg: dict, out: Path, args) -> int:
     if args.analytic:
         state = build_state(cfg)
         gt = float(section.get("gamma_t", 10.0))
-        moments = probe_mod.analytic_moments(
-            state, params, gt / params.gamma, r_max=r_max, asymptotic=args.compat_asymptotic
-        )
+        moments = probe_mod.analytic_moments(state, params, gt / params.gamma, r_max=r_max)
     else:
         records_path = args.records or section.get("records")
         if not records_path:
@@ -492,11 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "probe":
             p.add_argument("--analytic", action="store_true", help="use the configured state")
             p.add_argument("--records", default=None, help="count-record CSV path")
-            p.add_argument(
-                "--compat-asymptotic",
-                action="store_true",
-                help="normalize moments with the late-time linearized kernel",
-            )
     return parser
 
 

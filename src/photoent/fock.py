@@ -217,9 +217,9 @@ class EntanglementReport:
 
 def make_number_state(m: int, n: int, d_a: int, d_b: int) -> TwoModeState:
     """State |m, n> in a (d_a, d_b)-truncated space."""
-    if d_a < 1 or d_b < 1:
-        raise ValueError("cutoffs must be >= 1")
-    if not (0 <= m < d_a) or not (0 <= n < d_b):
+    for name, value, low in (("m", m, 0), ("n", n, 0), ("d_a", d_a, 1), ("d_b", d_b, 1)):
+        _check_int(name, value, low)
+    if m >= d_a or n >= d_b:
         raise ValueError(f"occupation ({m}, {n}) outside cutoffs ({d_a}, {d_b})")
     coeffs = np.zeros((d_a, d_b), dtype=complex)
     coeffs[m, n] = 1.0
@@ -292,8 +292,8 @@ def make_superposition(entries: list[tuple[int, int, complex]]) -> TwoModeState:
         raise ValueError("entries must be nonempty")
     seen = set()
     for m, n, c in entries:
-        if m < 0 or n < 0:
-            raise ValueError(f"negative occupation ({m}, {n})")
+        _check_int("entries: m", m, 0)
+        _check_int("entries: n", n, 0)
         if (m, n) in seen:
             raise ValueError(f"duplicate entry for ({m}, {n})")
         if not cmath.isfinite(c):
@@ -327,8 +327,7 @@ def pad_state(state: TwoModeState, d_a: int, d_b: int) -> TwoModeState:
 def make_two_mode_squeezed(r: float, n_max: int) -> TwoModeState:
     """Truncated two-mode squeezed state, C[n, n] = tanh(r)^n / cosh(r),
     renormalized on the retained support n <= n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_int("n_max", n_max, 0)
     entries = [(n, n, math.tanh(r) ** n / math.cosh(r)) for n in range(n_max + 1)]
     return make_superposition(entries)
 

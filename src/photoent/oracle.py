@@ -64,6 +64,9 @@ from .fock import (
 )
 
 MAX_MONITOR_DIM = 400
+# the quadrature ladder stops when two levels agree to this (relative for
+# the probability, max element for the normalized density)
+_REL_TOL = 1e-6
 # Gauss-Legendre nodes per jump, doubled until two levels agree
 _NODE_LADDER = (8, 16, 32, 64)
 # Monte Carlo time grid: base steps of t / _BASE_STEPS, jump times located
@@ -157,10 +160,10 @@ def _quadrature_level(
 
 
 def _quadrature(
-    state0: TwoModeState, params: ModelParams, t: float, k: int, rel_tol: float, want_density: bool
+    state0: TwoModeState, params: ModelParams, t: float, k: int, want_density: bool
 ) -> tuple[float, np.ndarray | None]:
-    """Double the node count until the probability (relative) and, if
-    wanted, the normalized density (max element) are stable to rel_tol."""
+    """Double the node count until the probability and, if wanted, the
+    normalized density are stable to _REL_TOL."""
     _check_time(t)
     _check_int("k", k, 0, 2)
     prev = None
@@ -172,35 +175,33 @@ def _quadrature(
             rho = rho / prob
         if k == 0 or (
             prev is not None
-            and abs(prob - prev[0]) <= rel_tol * max(abs(prob), 1e-300)
-            and (rho is None or np.max(np.abs(rho - prev[1])) <= rel_tol)
+            and abs(prob - prev[0]) <= _REL_TOL * max(abs(prob), 1e-300)
+            and (rho is None or np.max(np.abs(rho - prev[1])) <= _REL_TOL)
         ):
             return prob, rho
         prev = prob, rho
     raise ConvergenceError(
-        f"jump-time quadrature for k={k} did not reach rel_tol={rel_tol:g}: "
+        f"jump-time quadrature for k={k} did not converge to {_REL_TOL:g}: "
         f"last two probabilities {prev[0]!r}, {prob!r}"
     )
 
 
-def p_k_quadrature(
-    state0: TwoModeState, params: ModelParams, t: float, k: int, rel_tol: float = 1e-6
-) -> float:
+def p_k_quadrature(state0: TwoModeState, params: ModelParams, t: float, k: int) -> float:
     """P(k, t) by deterministic nested quadrature over jump times, k <= 2.
 
-    The node count doubles until two successive levels agree to ``rel_tol``
+    The node count doubles until two successive levels agree to 1e-6
     relative; failing that a ConvergenceError reports both estimates.
     """
-    return _quadrature(state0, params, t, k, rel_tol, False)[0]
+    return _quadrature(state0, params, t, k, False)[0]
 
 
 def nt_oracle_point(
-    state0: TwoModeState, params: ModelParams, t: float, k: int, rel_tol: float = 1e-6
+    state0: TwoModeState, params: ModelParams, t: float, k: int
 ) -> tuple[float, TwoModeDensity]:
     """Probability and normalized conditional AB density from one converged
     quadrature ladder (k <= 2): the ladder stops when both the probability
-    (relative) and the density (max element) are stable to ``rel_tol``."""
-    prob, rho = _quadrature(state0, params, t, k, rel_tol, True)
+    (relative) and the density (max element) are stable to 1e-6."""
+    prob, rho = _quadrature(state0, params, t, k, True)
     herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
     trace_defect = abs(np.trace(rho).real - 1.0)
     if not (herm_defect <= 1e-8 and trace_defect <= 1e-8):
@@ -343,28 +344,17 @@ def mc_count_histogram(
     return hist
 
 
-def p_k_montecarlo(
-    state0: TwoModeState,
-    params: ModelParams,
-    t: float,
-    k: int,
-    n_samples: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Unbiased Monte Carlo estimate of P(k, t) with its standard error.
-
-    The estimate is the fraction of trajectories registering exactly k
-    counts; the standard error is sqrt(p(1-p)/n).  When no trajectory hits k
-    the estimate is 0 and the reported error is the one-sided 95% bound 3/n
-    (rule of three).
-    """
-    return mc_estimates(state0, params, t, [k], n_samples, seed)[0]
-
-
 def mc_estimates(
     state0: TwoModeState, params: ModelParams, t: float, ks: list[int], n_samples: int, seed: int
 ) -> list[tuple[float, float]]:
-    """``p_k_montecarlo`` for every k in ``ks`` from one histogram."""
+    """Unbiased Monte Carlo estimates of P(k, t) with their standard errors,
+    for every k in ``ks`` from one histogram.
+
+    Each estimate is the fraction of trajectories registering exactly k
+    counts; its standard error is sqrt(p(1-p)/n).  When no trajectory hits k
+    the estimate is 0 and the reported error is the one-sided 95% bound 3/n
+    (rule of three).
+    """
     _check_int("n_samples", n_samples, 1000)
     for k in ks:
         _check_int("k", k, 0, _MAX_TRACK)

@@ -235,18 +235,12 @@ def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> flo
     return float(_bisect(lambda x: _g_core(float(x)) < target, 0.0, target + 3.0)) / params.gamma
 
 
-def count_mean_variance(
-    state0: TwoModeState, params: ModelParams, t: float, asymptotic: bool = False
-) -> tuple[float, float]:
+def count_mean_variance(state0: TwoModeState, params: ModelParams, t: float) -> tuple[float, float]:
     """Mean and (full) variance of the count distribution at time t.
 
     k_mean = u <N^2> and Var(k) = k_mean + u^2 Var(N^2) with u = 2 g(t).
-    ``asymptotic=True`` replaces u by its late-time linearization
-    (2 chi/gamma)^2 gamma t.
     """
     _check_time(t)
-    if asymptotic:
-        return mixture_moments(state0, (2.0 * params.chi / params.gamma) ** 2 * params.gamma * t)
     return mixture_moments(state0, eval_kernels(params, t).u)
 
 

@@ -4,9 +4,7 @@ The count distribution at fixed time is a Poisson mixture over the total
 photon number N with component mean u(t) N^2, u = 2 g(t).  Its factorial
 moments are therefore exactly u^r <N^{2r}> at every t, so the normalized
 moments kappa_r = E[k(k-1)...(k-r+1)] / u^r estimate <N^{2r}> without any
-late-time approximation.  (The raw-moment route kappa_r = E[k^r] / u_lin^r
-with the linearized u_lin = (2 chi/gamma)^2 gamma t is kept behind the
-``asymptotic`` flag; it converges only for gamma t >> 1.)
+late-time approximation.
 
 From the moments one builds the bounded transform
 
@@ -28,12 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ModelParams, TwoModeDensity, TwoModeState, number_weights
+from .fock import ModelParams, TwoModeDensity, TwoModeState, _check_int, _check_time, number_weights
 from .photocount import eval_kernels
 
 DEFAULT_R_MAX = 12
 CANCELLATION_TRUST = 1e-4
 NEGATIVE_COEFF_TOL = 1e-4
+# classify_special_state: relative tolerance of kappa_r = kappa_1^r, and the
+# smallest C(j) counted as support
+SHARP_REL_TOL = 1e-9
+SUPPORT_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,6 @@ def analytic_moments(
     params: ModelParams,
     t: float,
     r_max: int = DEFAULT_R_MAX,
-    asymptotic: bool = False,
 ) -> ProbeMoments:
     """Exact count moments of a known state (or density) at time t.
 
@@ -158,38 +159,22 @@ def analytic_moments(
     At t = 0 the count moments all vanish; kappa is then reported directly
     from the state with the ``degenerate`` flag set.
     """
-    if not (0 <= r_max <= DEFAULT_R_MAX):
-        raise ValueError(f"r_max must lie in [0, {DEFAULT_R_MAX}]")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_int("r_max", r_max, 0, DEFAULT_R_MAX)
+    _check_time(t)
     weights = number_weights(source)
     weights = weights / np.sum(weights)
     n = np.arange(len(weights), dtype=float)
     n2r = np.array([float(np.sum(weights * n ** (2 * r))) for r in range(r_max + 1)])
-    u_exact = eval_kernels(params, t).u
-    u_lin = (2.0 * params.chi / params.gamma) ** 2 * params.gamma * t
-    factorial = u_exact ** np.arange(r_max + 1) * n2r
-    raw = _stirling2(r_max) @ factorial
-    degenerate = u_exact == 0.0
-    if asymptotic:
-        if u_lin == 0.0:
-            kappa = n2r.copy()
-        else:
-            kappa = raw / u_lin ** np.arange(r_max + 1)
-            kappa[0] = 1.0
-        mode = "analytic-asymptotic"
-        u = u_lin
-    else:
-        kappa = n2r.copy() if degenerate else factorial / u_exact ** np.arange(r_max + 1)
-        mode = "analytic-exact"
-        u = u_exact
+    u = eval_kernels(params, t).u
+    factorial = u ** np.arange(r_max + 1) * n2r
+    degenerate = u == 0.0
     return ProbeMoments(
         t=t,
         u=u,
-        raw_moments=raw,
+        raw_moments=_stirling2(r_max) @ factorial,
         factorial_moments=factorial,
-        kappa_moments=kappa,
-        mode=mode,
+        kappa_moments=n2r.copy() if degenerate else factorial / u ** np.arange(r_max + 1),
+        mode="analytic-exact",
         degenerate=degenerate,
         n_weights=weights,
     )
@@ -207,6 +192,7 @@ def empirical_moments(
     errors of the factorial moments are delete-one jackknife values (for a
     weighted mean this reduces to the weighted standard error).
     """
+    _check_int("r_max", r_max, 0, DEFAULT_R_MAX)
     arr = np.asarray(records, dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in (2, 3) or arr.shape[0] < 1:
         raise ValueError("records must be a nonempty array of (k, t[, weight]) rows")
@@ -342,8 +328,6 @@ def reconstruct_marginal(coeffs: CosineCoefficients, n_other: int = 0) -> Margin
 def classify_special_state(
     moments: ProbeMoments,
     fourier: CosineCoefficients | None = None,
-    rel_tol: float = 1e-9,
-    support_floor: float = 1e-10,
 ) -> SpecialStateReport:
     """Signature tests on the count statistics.
 
@@ -361,7 +345,7 @@ def classify_special_state(
         raise ValueError("need moments up to r_max >= 3 to classify")
     kappa1 = float(kappa[1])
     sharp = all(
-        abs(kappa[r] - kappa1**r) <= rel_tol * max(abs(kappa1) ** r, 1.0)
+        abs(kappa[r] - kappa1**r) <= SHARP_REL_TOL * max(abs(kappa1) ** r, 1.0)
         for r in range(2, moments.r_max + 1)
     )
     if sharp:
@@ -403,11 +387,11 @@ def classify_special_state(
             squeeze_residual=None,
             message="support on odd anti-diagonals; no special-state signature matched",
         )
-    recovered = {j // 2: float(c[j]) for j in range(0, len(c), 2) if c[j] > support_floor}
+    recovered = {j // 2: float(c[j]) for j in range(0, len(c), 2) if c[j] > SUPPORT_FLOOR}
     pairs = [
         (c[2 * n], c[2 * n + 2])
         for n in range(0, (len(c) - 3) // 2 + 1)
-        if c[2 * n] > support_floor and c[2 * n + 2] > support_floor
+        if c[2 * n] > SUPPORT_FLOOR and c[2 * n + 2] > SUPPORT_FLOOR
     ]
     squeeze_r = None
     residual = None

@@ -62,15 +62,31 @@ assert tracer.counts["photocount.postselect_density.elements"] == 16, dict(trace
     assert proc.returncode == 0, proc.stderr
 
 
-def test_entangle_large_round_passes_its_checks(tmp_path, monkeypatch):
-    # one tiny round of the entangle-large workload through its own run and
-    # check: the checks read the dense .rho of every conditional state
+def _workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports reference
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    workload = workloads.EntangleLarge(3, tmp_path, tiny=True)
+    return workloads
+
+
+def test_entangle_large_round_passes_its_checks(tmp_path, monkeypatch):
+    # one tiny round of the entangle-large workload through its own run and
+    # check: the checks read the dense .rho of every conditional state
+    workload = _workloads(monkeypatch).EntangleLarge(3, tmp_path, tiny=True)
     items = workload.next_round(0)
     assert len(items) == 3
     for item in items:
         workload.check(item, workload.run(item))
+
+
+def test_oracle_check_rounds_pass_their_checks(tmp_path, monkeypatch):
+    # two tiny rounds of the oracle-check workload through its own run and
+    # check, which call the oracles as the harness does (k = 0 and k = 1 of
+    # nt_oracle_point, k = 2 of p_k_quadrature, one MC histogram per round)
+    workload = _workloads(monkeypatch).OracleCheck(3, tmp_path, tiny=True)
+    for first_id in (0, 3):
+        items = workload.next_round(first_id)
+        assert [item["kind"] for item in items] == list(workload.kinds)
+        for item in items:
+            workload.check(item, workload.run(item))

@@ -186,7 +186,7 @@ class TestOracleCheck:
         loaded = load_config(str(cfg))
         state, params = build_state(loaded), build_params(loaded)
         for entry in report["montecarlo"]:
-            expected = oracle.p_k_montecarlo(state, params, 1.5, entry["k"], 2000, 13)
+            expected = oracle.mc_estimates(state, params, 1.5, [entry["k"]], 2000, 13)[0]
             assert (entry["estimate"], entry["std_error"]) == expected
 
     def test_monte_carlo_requires_seed(self, tmp_path):
@@ -221,19 +221,6 @@ class TestProbeCommand:
         report = json.loads((tmp_path / "probe_report.json").read_text())
         assert report["classification"]["kind"] == "anti-correlated"
         assert report["classification"]["coefficients_recoverable"] is False
-
-    def test_compat_asymptotic_mode(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            state={"kind": "number", "m": 1, "n": 1, "d_a": 3, "d_b": 3},
-            probe={"gamma_t": 50.0},
-        )
-        args = ["probe", "--config", str(cfg), "--out", str(tmp_path), "--analytic"]
-        assert main(args + ["--compat-asymptotic"]) == 0
-        report = json.loads((tmp_path / "probe_report.json").read_text())
-        assert report["mode"] == "analytic-asymptotic"
-        # late-time linearized normalizer approaches the exact kappa_1 = 4
-        assert abs(report["kappa_moments"][1] - 4.0) < 0.5
 
     def test_empirical_round_trip_via_sample(self, tmp_path):
         cfg = write_config(
@@ -270,10 +257,12 @@ class TestProbeCommand:
             report = json.loads((tmp_path / "probe_report.json").read_text())
             assert report["aliased"] is expected
 
-    @pytest.mark.parametrize("command", ["pm-dist", "count-dist", "scan", "oracle-check", "sample"])
+    @pytest.mark.parametrize("command", ["pm-dist", "count-dist", "scan", "oracle-check", "sample", "probe"])
     def test_probe_flags_rejected_elsewhere(self, tmp_path, capsys, command):
+        # --analytic and --records belong to probe; --compat-asymptotic to no command
         cfg = write_config(tmp_path)
-        for flag in (["--analytic"], ["--records", "counts.csv"], ["--compat-asymptotic"]):
+        flags = [] if command == "probe" else [["--analytic"], ["--records", "counts.csv"]]
+        for flag in flags + [["--compat-asymptotic"]]:
             with pytest.raises(SystemExit) as exc:
                 main([command, "--config", str(cfg), "--out", str(tmp_path), *flag])
             assert exc.value.code == 2
@@ -362,6 +351,8 @@ class TestConfigValidation:
             ("probe", {"probe": {"j_max": 3.5}}, "probe.j_max"),
             ("probe", {"probe": {"marginal_n_other": 1.5}}, "probe.marginal_n_other"),
             ("probe", {"grids": {"x_points": 100.5}}, "grids.x_points"),
+            # the quadrature tolerance is fixed at 1e-6, the pass bound
+            ("oracle-check", {"oracle": {"rel_tol": 1e-6}}, "rel_tol"),
         ],
     )
     def test_non_integer_field_rejected(self, tmp_path, capsys, command, overrides, field):

@@ -43,6 +43,23 @@ class TestConstructors:
         with pytest.raises(ValueError, match="outside"):
             make_number_state(4, 0, 4, 4)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: make_number_state(bad, 0, 2, 1),
+            lambda bad: make_number_state(0, 0, 2, bad),
+            lambda bad: make_superposition([(bad, 0, 1.0)]),
+            lambda bad: make_superposition([(0, bad, 1.0)]),
+            lambda bad: make_two_mode_squeezed(0.5, bad),
+        ],
+        ids=["number-m", "number-d_b", "superposition-m", "superposition-n", "squeezed-n_max"],
+    )
+    def test_non_integer_occupation_rejected(self, build, bad):
+        # a bool would pass for 1, and a float would fail deep inside numpy
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(bad)
+
     def test_coherent_vacuum(self):
         s = make_coherent_product(0, 0, eps_trunc=1e-10)
         assert (s.d_a, s.d_b) == (1, 1)

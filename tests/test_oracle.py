@@ -22,9 +22,9 @@ from photoent.fock import ResourceLimitError
 from photoent.oracle import (
     annihilation,
     mc_count_histogram,
+    mc_estimates,
     monitor_dim,
     nt_oracle_point,
-    p_k_montecarlo,
     p_k_quadrature,
 )
 from photoent.photocount import eval_kernels
@@ -266,8 +266,8 @@ class TestMonteCarlo:
         n = 4000
         t = 1.5
         for k in (0, 1, 2):
-            e1, s1 = p_k_montecarlo(s, P, t, k, n, seed=1)
-            e2, s2 = p_k_montecarlo(s, P, t, k, n, seed=2)
+            e1, s1 = mc_estimates(s, P, t, [k], n, seed=1)[0]
+            e2, s2 = mc_estimates(s, P, t, [k], n, seed=2)[0]
             assert abs(e1 - e2) <= 6.0 * math.hypot(s1, s2)
 
     def test_three_sigma_against_closed_form(self):
@@ -298,7 +298,7 @@ class TestMonteCarlo:
 
     def test_far_tail_reports_one_sided_bound(self):
         s = make_number_state(1, 0, 2, 2)
-        est, err = p_k_montecarlo(s, P, 0.5, 40, 1000, seed=4)
+        est, err = mc_estimates(s, P, 0.5, [40], 1000, seed=4)[0]
         assert est == 0.0
         assert err == 3.0 / 1000
 
@@ -306,8 +306,8 @@ class TestMonteCarlo:
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
         t = 1.5
         k = 1
-        small = [p_k_montecarlo(s, P, t, k, 1000, seed=100 + i)[0] for i in range(8)]
-        big = [p_k_montecarlo(s, P, t, k, 4000, seed=200 + i)[0] for i in range(8)]
+        small = [mc_estimates(s, P, t, [k], 1000, seed=100 + i)[0][0] for i in range(8)]
+        big = [mc_estimates(s, P, t, [k], 4000, seed=200 + i)[0][0] for i in range(8)]
         ratio = np.var(small) / np.var(big)
         assert 1.5 < ratio < 11.0  # ~4 expected, wide band for 8 replicas
 
@@ -361,7 +361,7 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             mc_count_histogram(s, params, t, 10, seed=1)
         with pytest.raises(ValueError):
-            p_k_montecarlo(s, params, t, 0, 1000, seed=1)
+            mc_estimates(s, params, t, [0], 1000, seed=1)
 
     def test_monte_carlo_needs_positive_time(self):
         with pytest.raises(ValueError):
@@ -381,14 +381,14 @@ class TestInputValidation:
     def test_bad_monte_carlo_count_rejected(self, k):
         # hist[-1] is the overflow bin, so k = -1 must not index it
         with pytest.raises(ValueError):
-            p_k_montecarlo(self.s, self.params, 5.0, k, 1000, seed=1)
+            mc_estimates(self.s, self.params, 5.0, [k], 1000, seed=1)
 
     @pytest.mark.parametrize("n_samples", [0, -3, True, 2.0, None])
     def test_bad_sample_count_rejected(self, n_samples):
         with pytest.raises(ValueError):
             mc_count_histogram(self.s, self.params, 1.0, n_samples, seed=1)
         with pytest.raises(ValueError):
-            p_k_montecarlo(self.s, self.params, 1.0, 0, n_samples, seed=1)
+            mc_estimates(self.s, self.params, 1.0, [0], n_samples, seed=1)
 
     @pytest.mark.parametrize("batch_size", [-5, 0, True, 1.5])
     def test_bad_batch_size_rejected(self, batch_size):
@@ -401,7 +401,7 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             mc_count_histogram(self.s, self.params, 1.0, 10, seed=seed)
         with pytest.raises(ValueError):
-            p_k_montecarlo(self.s, self.params, 1.0, 0, 1000, seed=seed)
+            mc_estimates(self.s, self.params, 1.0, [0], 1000, seed=seed)
 
 
 superposition_entries = st.lists(

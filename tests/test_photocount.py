@@ -411,12 +411,6 @@ class TestCountMeanVariance:
         assert abs(k_mean - mean_direct) < 1e-9
         assert abs(k_var - var_direct) < 1e-9
 
-    def test_asymptotic_flag_uses_linearized_kernel(self):
-        s = make_number_state(1, 0, 2, 2)
-        t = 2.0
-        k_mean, _ = count_mean_variance(s, P, t, asymptotic=True)
-        assert abs(k_mean - (2 * P.chi / P.gamma) ** 2 * P.gamma * t) < 1e-12
-
 
 class TestEntanglementScan:
     def test_zero_count_row(self):

@@ -91,23 +91,19 @@ class TestAnalyticMoments:
         for r in range(5):
             assert mom.kappa_moments[r] == 9.0**r
 
-    def test_asymptotic_kappa_converges_monotonically(self):
-        s = make_superposition([(1, 0, 1), (0, 2, 1), (2, 2, 0.5)])
-        weights = number_weights(s)
-        n = np.arange(len(weights), dtype=float)
-        errors = []
-        for gt in (10.0, 100.0, 1000.0):
-            mom = analytic_moments(s, P, gt / P.gamma, r_max=4, asymptotic=True)
-            err = max(
-                abs(mom.kappa_moments[r] - float(np.sum(weights * n ** (2 * r))))
-                for r in range(1, 5)
-            )
-            errors.append(err)
-        assert errors[0] > errors[1] > errors[2]
-
     def test_r_max_bound(self):
-        with pytest.raises(ValueError):
-            analytic_moments(make_number_state(0, 0, 2, 2), P, 1.0, r_max=13)
+        state = make_number_state(0, 0, 2, 2)
+        records = np.array([[1.0, 1.0], [2.0, 1.0]])
+        for r_max in (13, -1, 2.5, True):
+            with pytest.raises(ValueError, match="r_max"):
+                analytic_moments(state, P, 1.0, r_max=r_max)
+            with pytest.raises(ValueError, match="r_max"):
+                empirical_moments(records, P, r_max=r_max)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            analytic_moments(make_number_state(1, 0, 2, 2), P, t)
 
 
 class TestEmpiricalMoments:
