@@ -159,27 +159,30 @@ def _dephasing(n_max: int, rate: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DephasedState:
-    """Pure state dephased between total-photon sectors:
-    ``rho = exp(-mu (N - N')^2 / 2) psi psi^dag`` with N = m + n, N' = m' + n'.
-
-    Behaves like `TwoModeDensity`; ``rho`` is built once, and
-    `entanglement_report` takes the entropies from ``state`` and ``mu``.
-    """
+    """``rho = w(N, N') psi psi^dag`` with N = m + n, N' = m' + n' and ``w`` a
+    real symmetric sector matrix over N, N' = 0..n_max: every state
+    conditioned on a count record, since N is never disturbed.  The closed
+    form's w is exp(-mu (N - N')^2 / 2), the oracle's its Gram matrix over
+    P(k).  Behaves like `TwoModeDensity`; ``rho`` is built once, and
+    `entanglement_report` takes the entropies from ``state`` and ``w``."""
 
     state: TwoModeState
-    mu: float
+    w: np.ndarray
     rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
+        w = np.array(self.w, dtype=float)
+        if w.shape != (self.n_max + 1,) * 2 or not np.all(np.isfinite(w)) or not np.array_equal(w, w.T):
+            raise ValueError(f"w must be a finite symmetric {(self.n_max + 1,) * 2} matrix")
+        w.setflags(write=False)
         psi = self.state.coeffs.reshape(-1)
         tot = _totals(self.d_a, self.d_b).reshape(-1)
-        # one dephasing row per total N: rows[N, j] = exp(-mu/2 (N - N_j)^2) psi_j^*
-        rows = psi.conj() * _dephasing(self.n_max, self.mu / 2.0)[:, tot]
+        # one row per total N: rows[N, j] = w(N, N_j) psi_j^*
+        rows = psi.conj() * w[:, tot]
         rho = np.take(rows, tot, axis=0)
         rho *= psi[:, None]
         rho.setflags(write=False)
+        object.__setattr__(self, "w", w)
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -196,7 +199,7 @@ class DephasedState:
 
     @property
     def trace(self) -> float:
-        return float(np.sum(np.abs(self.state.coeffs) ** 2))
+        return float(number_weights(self.state) @ np.diagonal(self.w))
 
 
 @dataclass(frozen=True)
@@ -226,7 +229,7 @@ def make_number_state(m: int, n: int, d_a: int, d_b: int) -> TwoModeState:
     return TwoModeState(coeffs, trunc_weight=0.0)
 
 
-def _poisson_cutoff(mean: float, tail: float, max_dim: int) -> int:
+def _poisson_cutoff(mean: float, tail: float) -> int:
     """Smallest dimension d with Poisson(mean) mass beyond level d-1 at most
     ``tail``, via the geometric bound sum_{j>k} p_j <= p_k r/(1-r), r = mean/(k+1)
     (valid once r < 1); accurate far below machine epsilon of the cumulative."""
@@ -238,10 +241,10 @@ def _poisson_cutoff(mean: float, tail: float, max_dim: int) -> int:
         ratio = mean / d
         if ratio < 1.0 and term * ratio / (1.0 - ratio) <= tail:
             return d
-        if d >= max_dim:
+        if d >= DEFAULT_MAX_DIM:
             raise ResourceLimitError(
                 f"coherent amplitude |alpha|^2 = {mean:g} needs more than "
-                f"{max_dim} Fock levels for tail {tail:g}"
+                f"{DEFAULT_MAX_DIM} Fock levels for tail {tail:g}"
             )
         term *= ratio
         d += 1
@@ -259,17 +262,13 @@ def _coherent_column(alpha: complex, dim: int) -> np.ndarray:
     return mag * np.exp(1j * np.angle(alpha) * m)
 
 
-def make_coherent_product(
-    alpha: complex,
-    beta: complex,
-    eps_trunc: float = DEFAULT_EPS_TRUNC,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> TwoModeState:
+def make_coherent_product(alpha: complex, beta: complex, eps_trunc: float = DEFAULT_EPS_TRUNC) -> TwoModeState:
     """Product of coherent states |alpha> (x) |beta>, truncated so the total
     lost probability mass is at most ``eps_trunc``.
 
     Cutoffs are the smallest per-mode dimensions whose Poisson tails sum to
-    at most eps_trunc (the budget is split evenly over the non-vacuum modes).
+    at most eps_trunc (the budget is split evenly over the non-vacuum modes),
+    each at most DEFAULT_MAX_DIM.
     """
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not cmath.isfinite(value):
@@ -279,8 +278,8 @@ def make_coherent_product(
     means = (abs(alpha) ** 2, abs(beta) ** 2)
     n_active = sum(1 for v in means if v > 0)
     share = eps_trunc / n_active if n_active else eps_trunc
-    d_a = _poisson_cutoff(means[0], share, max_dim)
-    d_b = _poisson_cutoff(means[1], share, max_dim)
+    d_a = _poisson_cutoff(means[0], share)
+    d_b = _poisson_cutoff(means[1], share)
     coeffs = np.outer(_coherent_column(alpha, d_a), _coherent_column(beta, d_b))
     trunc = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
     return TwoModeState(coeffs, trunc_weight=max(trunc, 0.0))
@@ -394,7 +393,7 @@ def number_moment(source: TwoModeState | TwoModeDensity, power: int) -> float:
 
 
 def density_from_pure(state: TwoModeState) -> DephasedState:
-    return DephasedState(state, 0.0)
+    return DephasedState(state, np.ones((state.n_max + 1,) * 2))
 
 
 def partial_trace(rho: TwoModeDensity, keep: str) -> np.ndarray:
@@ -416,17 +415,21 @@ def linear_entropy(mat: np.ndarray) -> float:
     return 1.0 - purity(mat)
 
 
-def _sector_entropies(state: TwoModeState, mu: float) -> tuple[float, float, float]:
-    """S_A, S_B, S_AB of the state dephased by mu, from its coefficients C
-    in O(d^3) without the dense density:
-    rho_A = exp(-mu (m - p)^2 / 2) * C C^dag, rho_B = exp(-mu (n - q)^2 / 2) * C^T C^*
-    and Tr rho^2 = sum_NN' exp(-mu (N - N')^2) P_N P_N'."""
-    c, rate = state.coeffs, mu / 2.0
-    s_a = linear_entropy(_dephasing(state.d_a - 1, rate) * (c @ c.conj().T))
-    s_b = linear_entropy(_dephasing(state.d_b - 1, rate) * (c.T @ c.conj()))
-    weights = number_weights(state)
-    s_ab = 1.0 - float(weights @ _dephasing(state.n_max, mu) @ weights)
-    return s_a, s_b, s_ab
+def _marginal(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """rho_A[m, p] = sum_n w(m + n, p + n) C[m, n] C*[p, n], reading the
+    shifted diagonals of w through a view."""
+    d = c.shape[0]
+    shifted = np.diagonal(np.lib.stride_tricks.sliding_window_view(w, (d, d)))  # [m, p, n]
+    return np.einsum("mpn,mn,pn->mp", shifted, c, c.conj())
+
+
+def _sector_entropies(state: TwoModeState, w: np.ndarray) -> tuple[float, float, float]:
+    """S_A, S_B, S_AB of ``w(N, N') psi psi^dag`` from the coefficients C
+    in O(d^3) without the dense density: rho_A from `_marginal`, rho_B the
+    same on C^T, and Tr rho^2 = sum_NN' w(N, N')^2 P_N P_N'."""
+    c, weights = state.coeffs, number_weights(state)
+    s_ab = 1.0 - float(weights @ (w * w) @ weights)
+    return linear_entropy(_marginal(w, c)), linear_entropy(_marginal(w, c.T)), s_ab
 
 
 def entanglement_report(rho: TwoModeDensity | DephasedState) -> EntanglementReport:
@@ -439,7 +442,7 @@ def entanglement_report(rho: TwoModeDensity | DephasedState) -> EntanglementRepo
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"density trace {tr:.9f} deviates from 1 beyond 1e-6")
     if isinstance(rho, DephasedState):
-        s_a, s_b, s_ab = _sector_entropies(rho.state, rho.mu)
+        s_a, s_b, s_ab = _sector_entropies(rho.state, rho.w)
     else:
         mat = rho.rho
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))

@@ -36,8 +36,10 @@ populated sector.  The quadrature sums the real Gram matrix
 
     G(N, N') = sum_records w phi_N . phi_N',
 
-so that P(k) = sum_N P_N G(N, N) and the unnormalized conditional density
-is G(N_i, N_j) psi~_i psi~_j^*.  Every propagator is computed where it is
+so that P(k) = sum_N P_N G(N, N) and the conditional state is the
+`DephasedState` of psi~ with sector matrix G(N, N') / P(k): the closed form's
+format, with its Gram matrix in place of exp(-mu (N - N')^2 / 2).  No
+(d_a d_b)^2 array is built here.  Every propagator is computed where it is
 used; nothing is cached.  The tests (`tests/crosschecks.py`) push the full
 A (x) B (x) C tensor through the same records and integrate the full
 generator by adaptive Runge-Kutta to cross-check this.
@@ -52,13 +54,12 @@ from scipy.linalg import expm
 
 from .fock import (
     ConvergenceError,
+    DephasedState,
     ModelParams,
     ResourceLimitError,
-    TwoModeDensity,
     TwoModeState,
     _check_int,
     _check_time,
-    _totals,
     apply_beam_splitter,
     number_weights,
 )
@@ -75,6 +76,8 @@ _NODE_LADDER = (8, 16, 32, 64)
 _BASE_STEPS = 64
 _DEPTH = 30
 _MAX_TRACK = 64
+# Monte Carlo trajectories advanced together
+_BATCH = 4096
 
 
 def monitor_dim(params: ModelParams, n_total_max: int) -> int:
@@ -142,41 +145,38 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
     return rows @ rows.T
 
 
-def _quadrature_level(
-    state0: TwoModeState, params: ModelParams, t: float, k: int, n_nodes: int, want_density: bool
-) -> tuple[float, np.ndarray | None]:
-    """P(k, t) and, if wanted, the unnormalized conditional AB density from
-    one Gauss-Legendre level."""
-    sectors, weights, d_c = _sector_setup(state0, params)
+def _quadrature_level(setup, params: ModelParams, t: float, k: int, n_nodes: int, evolved: TwoModeState | None):
+    """P(k, t) from one Gauss-Legendre level and, given the exchange-evolved
+    input, the normalized conditional AB state: ``evolved`` weighted by the
+    Gram matrix over the probability."""
+    sectors, weights, d_c = setup
     gram = _gram(params, sectors, d_c, t, k, n_nodes)
     prob = float(weights[sectors] @ np.diag(gram))
-    if not want_density:
+    if evolved is None:
         return prob, None
+    if prob <= 0:
+        raise ConvergenceError(f"outcome k={k} has vanishing probability at t={t}")
     by_sector = np.zeros((len(weights),) * 2)
     by_sector[np.ix_(sectors, sectors)] = gram
-    totals = _totals(state0.d_a, state0.d_b).ravel()
-    psi = apply_beam_splitter(state0, params.lam, t).coeffs.ravel()
-    return prob, by_sector[np.ix_(totals, totals)] * np.outer(psi, psi.conj())
+    return prob, DephasedState(evolved, by_sector / prob)
 
 
 def _quadrature(
     state0: TwoModeState, params: ModelParams, t: float, k: int, want_density: bool
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, DephasedState | None]:
     """Double the node count until the probability and, if wanted, the
     normalized density are stable to _REL_TOL."""
     _check_time(t)
     _check_int("k", k, 0, 2)
+    setup = _sector_setup(state0, params)
+    evolved = apply_beam_splitter(state0, params.lam, t) if want_density else None
     prev = None
     for n in (1,) if k == 0 else _NODE_LADDER:
-        prob, rho = _quadrature_level(state0, params, t, k, n, want_density)
-        if want_density:
-            if prob <= 0:
-                raise ConvergenceError(f"outcome k={k} has vanishing probability at t={t}")
-            rho = rho / prob
+        prob, rho = _quadrature_level(setup, params, t, k, n, evolved)
         if k == 0 or (
             prev is not None
             and abs(prob - prev[0]) <= _REL_TOL * max(abs(prob), 1e-300)
-            and (rho is None or np.max(np.abs(rho - prev[1])) <= _REL_TOL)
+            and (rho is None or np.max(np.abs(rho.rho - prev[1].rho)) <= _REL_TOL)
         ):
             return prob, rho
         prev = prob, rho
@@ -195,21 +195,19 @@ def p_k_quadrature(state0: TwoModeState, params: ModelParams, t: float, k: int) 
     return _quadrature(state0, params, t, k, False)[0]
 
 
-def nt_oracle_point(
-    state0: TwoModeState, params: ModelParams, t: float, k: int
-) -> tuple[float, TwoModeDensity]:
-    """Probability and normalized conditional AB density from one converged
+def nt_oracle_point(state0: TwoModeState, params: ModelParams, t: float, k: int) -> tuple[float, DephasedState]:
+    """Probability and normalized conditional AB state from one converged
     quadrature ladder (k <= 2): the ladder stops when both the probability
-    (relative) and the density (max element) are stable to 1e-6."""
+    (relative) and the density (max element) are stable to 1e-6.
+
+    The state is the exchange-evolved input weighted by the sector matrix
+    G(N, N') / P(k), the form of the closed-form conditional state.  G is a
+    symmetric rank-k product, exactly symmetric as `DephasedState` requires;
+    a ConvergenceError reports a trace off 1 by more than 1e-8."""
     prob, rho = _quadrature(state0, params, t, k, True)
-    herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
-    trace_defect = abs(np.trace(rho).real - 1.0)
-    if not (herm_defect <= 1e-8 and trace_defect <= 1e-8):
-        raise ConvergenceError(
-            f"conditional density for k={k} is off by {herm_defect:.3g} "
-            f"(hermiticity) and {trace_defect:.3g} (trace)"
-        )
-    return prob, TwoModeDensity((rho + rho.conj().T) / 2.0, state0.d_a, state0.d_b)
+    if not abs(rho.trace - 1.0) <= 1e-8:
+        raise ConvergenceError(f"conditional state for k={k} has trace {rho.trace!r}")
+    return prob, rho
 
 
 def mc_count_histogram(
@@ -218,7 +216,6 @@ def mc_count_histogram(
     t: float,
     n_samples: int,
     seed: int,
-    batch_size: int = 4096,
 ) -> np.ndarray:
     """Histogram of counted photons over `n_samples` jump trajectories.
 
@@ -245,7 +242,7 @@ def mc_count_histogram(
 
     Trajectory j draws its thresholds from the dedicated substream
     ``default_rng([seed, j])``, and the histogram is an integer sum, so the
-    result is reproducible for a fixed seed independent of batch size (up to
+    result is reproducible for a fixed seed independent of ``_BATCH`` (up to
     a threshold within rounding of a norm: BLAS may round a row differently
     in a batch of another size).
     Counts beyond ``_MAX_TRACK`` land in the final overflow bin.  Truncated
@@ -254,7 +251,6 @@ def mc_count_histogram(
     """
     _check_time(t, positive=True)
     _check_int("n_samples", n_samples, 1)
-    _check_int("batch_size", batch_size, 1)
     _check_int("seed", seed, 0)
     sectors, weights, d_c = _sector_setup(state0, params)
     amps = np.sqrt(weights[sectors] / np.sum(weights))
@@ -321,8 +317,8 @@ def mc_count_histogram(
     for step in range(_BASE_STEPS):
         path[:, step + 1 : step + 2] = advance(path[:, step : step + 1], 0)
     path_norms = norms(path)
-    for start in range(0, n_samples, batch_size):
-        n_batch = min(batch_size, n_samples - start)
+    for start in range(0, n_samples, _BATCH):
+        n_batch = min(_BATCH, n_samples - start)
         rngs = [np.random.default_rng([seed, start + j]) for j in range(n_batch)]
         u = np.array([r.random() for r in rngs])
         jumps = np.zeros(n_batch, dtype=np.int64)

@@ -38,6 +38,7 @@ from .fock import (
     TwoModeState,
     _check_int,
     _check_time,
+    _dephasing,
     _sector_entropies,
     apply_beam_splitter,
 )
@@ -155,9 +156,7 @@ def count_distribution_row(
     return mixture_pmf_row(*sector_means(state0, eval_kernels(params, t).u), k_max)
 
 
-def postselect_density(
-    state0: TwoModeState, params: ModelParams, t: float, k: int
-) -> DephasedState:
+def postselect_density(state0: TwoModeState, params: ModelParams, t: float, k: int) -> DephasedState:
     """Conditional AB density after counting k monitor photons by time t.
 
     The pure post-state of the projective readout at u = 2g, psi, dephased
@@ -167,7 +166,8 @@ def postselect_density(
     freely evolved state for every k and gamma.
     """
     kern = eval_kernels(params, t)
-    return DephasedState(postselect_pure(state0, params.lam, t, k, kern.u).post_state, kern.mu)
+    post = postselect_pure(state0, params.lam, t, k, kern.u).post_state
+    return DephasedState(post, _dephasing(post.n_max, kern.mu / 2.0))
 
 
 def short_time_state(state0: TwoModeState, lam: float, t: float, k: int) -> TwoModeState:
@@ -258,10 +258,10 @@ def entanglement_scan(
     for k in k_list:
         t_m = most_probable_time(state0, params, k)
         short = short_time_state(state0, params.lam, 0.0, k)
-        short_a, short_b, short_ab = _sector_entropies(short, 0.0)
+        short_a, short_b, short_ab = _sector_entropies(short, _dephasing(short.n_max, 0.0))
         kern = eval_kernels(params, t_m)
         post = postselect_pure(state0, params.lam, t_m, k, kern.u).post_state
-        s_a, s_b, s_ab = _sector_entropies(post, kern.mu)
+        s_a, s_b, s_ab = _sector_entropies(post, _dephasing(post.n_max, kern.mu / 2.0))
         rows.append(
             ScanRow(
                 k=k,
@@ -286,12 +286,10 @@ def count_distribution(
         raise ValueError("time_grid must be a nonempty 1-d array")
     if np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("time_grid must be ordered and nonnegative")
-    if k_max is None:
-        k_max = max(count_cutoff(state0, params, t) for t in times)
+    if k_max is None:  # the omitted mass grows with u = 2g(t), so the last time needs the most
+        k_max = count_cutoff(state0, params, times[-1])
     ks = np.arange(k_max + 1)
-    values = np.empty((len(times), len(ks)))
-    for i, t in enumerate(times):
-        values[i] = count_distribution_row(state0, params, t, k_max)
+    values = np.array([count_distribution_row(state0, params, t, k_max) for t in times])
     return CountDistribution(
         chi=params.chi,
         gamma=params.gamma,

@@ -201,8 +201,10 @@ def empirical_moments(
     w = arr[:, 2] if arr.shape[1] == 3 else np.ones(len(arr))
     if np.any(ts != ts[0]):
         raise ValueError("records mix measurement times; the protocol is per-time")
-    if np.any(w < 0) or np.sum(w) == 0:
-        raise ValueError("weights must be nonnegative with positive sum")
+    if not np.all(np.isfinite(ks) & (ks >= 0) & (ks == np.round(ks))):
+        raise ValueError("counts k must be nonnegative integers")
+    if not (np.all(np.isfinite(w) & (w >= 0)) and np.sum(w) > 0):
+        raise ValueError("weights must be finite and nonnegative with positive sum")
     t = float(ts[0])
     u = eval_kernels(params, t).u
     wsum = float(np.sum(w))

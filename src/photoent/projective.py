@@ -28,6 +28,7 @@ from .fock import (
     TwoModeState,
     _check_int,
     _check_time,
+    _totals,
     apply_beam_splitter,
     fix_global_phase,
     number_moment,
@@ -131,7 +132,7 @@ def reweight_sectors(evolved: TwoModeState, k: int, h: float) -> TwoModeState:
     """The pure state with coefficients N^k e^(-h N^2) C[m, n], N = m + n,
     normalized and with its global phase fixed.  The weights are taken in
     log space; N = 0 keeps weight 1 only for k = 0."""
-    totals = (np.arange(evolved.d_a)[:, None] + np.arange(evolved.d_b)[None, :]).astype(float)
+    totals = _totals(evolved.d_a, evolved.d_b).astype(float)
     with np.errstate(divide="ignore"):
         log_w = (k * np.log(totals) if k else 0.0) - h * totals**2
     support = np.isfinite(log_w) & (evolved.coeffs != 0)

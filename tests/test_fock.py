@@ -81,7 +81,7 @@ class TestConstructors:
 
     def test_coherent_resource_error(self):
         with pytest.raises(ResourceLimitError):
-            make_coherent_product(100.0, 0.0, eps_trunc=1e-8, max_dim=64)
+            make_coherent_product(100.0, 0.0, eps_trunc=1e-8)
 
     def test_superposition_bell_like(self):
         s = make_superposition([(1, 0, 1), (0, 1, 1)])

@@ -477,6 +477,15 @@ def test_count_cutoff_follows_the_populated_sectors():
         assert abs(math.fsum(row) - (1.0 - s.trunc_weight)) <= 2e-12  # tail + rounding
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(superpositions(), st.floats(0.05, 3.0), st.lists(st.floats(0.0, 20.0), min_size=2, max_size=6))
+def test_count_cutoff_does_not_decrease_in_time(state, ratio, times):
+    # count_distribution takes its adaptive k range from the last grid time
+    params = ModelParams(lam=0.0, chi=ratio, gamma=1.0)
+    cutoffs = [count_cutoff(state, params, t) for t in sorted(times)]
+    assert cutoffs == sorted(cutoffs)
+
+
 def test_sample_counts_reproducible_and_t0_all_zero():
     s = make_coherent_product(1.0, 1.0, eps_trunc=1e-10)
     a = sample_counts(s, P, 1.0, 300, seed=5)

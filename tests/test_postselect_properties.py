@@ -18,6 +18,7 @@ from photoent import (
     entanglement_report,
     postselect_density,
 )
+from photoent.fock import _dephasing
 from photoent.photocount import eval_kernels
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -119,25 +120,51 @@ def test_sector_report_matches_the_dense_report(case):
 @given(conditioning())
 def test_density_is_the_dephased_post_state(case):
     rho = postselect_density(*case)
+    mu = eval_kernels(case[1], case[2]).mu
     psi = rho.state.coeffs.reshape(-1)
     totals = (np.arange(rho.d_a)[:, None] + np.arange(rho.d_b)[None, :]).ravel()
     gap = np.subtract.outer(totals, totals).astype(float)
-    expected = np.exp(-rho.mu * gap**2 / 2.0) * np.outer(psi, psi.conj())
+    expected = np.exp(-mu * gap**2 / 2.0) * np.outer(psi, psi.conj())
     assert np.max(np.abs(rho.rho - expected)) <= 1e-15
-    assert rho.mu == eval_kernels(case[1], case[2]).mu
+    assert np.array_equal(rho.w, _dephasing(rho.n_max, mu / 2.0))
 
 
-@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, -1e-3])
-def test_dephased_state_rejects_bad_mu(mu):
-    with pytest.raises(ValueError, match="mu"):
-        DephasedState(TwoModeState(np.eye(2) / math.sqrt(2.0)), mu)
+@pytest.mark.parametrize("d_a, d_b", [(1, 4), (3, 5), (6, 2), (7, 7)])
+def test_general_sector_matrix_report_matches_the_dense_report(rng, d_a, d_b):
+    # a Gram-built w is symmetric positive semidefinite and far from Toeplitz
+    coeffs = rng.normal(size=(d_a, d_b)) + 1j * rng.normal(size=(d_a, d_b))
+    state = TwoModeState(coeffs / np.linalg.norm(coeffs))
+    rows = rng.normal(size=(state.n_max + 1, 3))
+    w = rows @ rows.T
+    rho = DephasedState(state, w / DephasedState(state, w).trace)
+    sector = entanglement_report(rho)
+    dense = entanglement_report(TwoModeDensity(rho.rho, d_a, d_b))
+    for name in ("s_a", "s_b", "s_ab", "excess"):
+        assert abs(getattr(sector, name) - getattr(dense, name)) <= 1e-13, name
+
+
+def _bad_w(kind):
+    w = np.ones((3, 3))
+    if kind in ("nan", "inf", "-inf"):
+        w[0, 2] = w[2, 0] = float(kind)
+    elif kind == "asymmetric":
+        w[0, 2] = 0.5
+    else:
+        w = np.ones((4, 4))
+    return w
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "asymmetric", "shape"])
+def test_dephased_state_rejects_bad_w(kind):
+    with pytest.raises(ValueError, match="w must be"):
+        DephasedState(TwoModeState(np.eye(2) / math.sqrt(2.0)), _bad_w(kind))
 
 
 def test_dephased_state_is_read_only_and_keeps_the_trace_check():
-    rho = DephasedState(TwoModeState(np.eye(3) / math.sqrt(3.0)), 0.4)
-    assert not rho.rho.flags.writeable
+    rho = DephasedState(TwoModeState(np.eye(3) / math.sqrt(3.0)), _dephasing(4, 0.2))
+    assert not rho.rho.flags.writeable and not rho.w.flags.writeable
     with pytest.raises(ValueError):
         rho.rho[0, 0] = 0.0
     lossy = TwoModeState(np.eye(3) * math.sqrt(0.99 / 3.0), trunc_weight=0.01)
     with pytest.raises(ValueError, match="trace"):
-        entanglement_report(DephasedState(lossy, 0.4))
+        entanglement_report(DephasedState(lossy, _dephasing(4, 0.2)))

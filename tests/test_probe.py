@@ -140,6 +140,22 @@ class TestEmpiricalMoments:
         with pytest.raises(ValueError, match="per-time"):
             empirical_moments(records, P)
 
+    @pytest.mark.parametrize(
+        "records, match",
+        [
+            ([[1.5, 1.0], [1.0, 1.0], [3.0, 1.0]], "counts"),
+            ([[1.0, 1.0], [-2.0, 1.0], [3.0, 1.0]], "counts"),
+            ([[1.0, 1.0], [math.nan, 1.0]], "counts"),
+            ([[1.0, 1.0], [math.inf, 1.0]], "counts"),
+            ([[1.0, 1.0, 1.0], [2.0, 1.0, math.nan]], "weights"),
+            ([[1.0, 1.0, 1.0], [2.0, 1.0, math.inf]], "weights"),
+        ],
+    )
+    def test_bad_counts_and_weights_rejected(self, records, match):
+        # [[1.5, 1], [-2, 1], [3, 1]] gave a factorial moment of -6.125 at r = 3
+        with pytest.raises(ValueError, match=match):
+            empirical_moments(np.array(records), P)
+
     def test_weight_column_accepted(self):
         records = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 1.0]])
         mom = empirical_moments(records, P, r_max=2)
