@@ -363,7 +363,7 @@ def _parse_records(path: str) -> np.ndarray:
             row = [float(p) for p in parts]
             if row[0] < 0 or row[0] != int(row[0]):
                 raise ValueError
-        except ValueError:
+        except (ValueError, OverflowError):  # int(inf) overflows
             bad_lines.append(lineno)
             continue
         rows.append(row + [1.0] * (3 - len(row)))

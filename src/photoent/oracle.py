@@ -22,7 +22,11 @@ factors.  The exchange part is unitary and commutes with the counts, so
 every jump record ends in sum_N psi~_N (x) phi_N: psi~ is the input evolved
 by the exchange alone to time t, and phi_N is the monitor factor driven
 from the vacuum by M_N = -i chi N (c + c†) - (gamma/2) c†c between counts
-and by sqrt(gamma) c at each count.
+and by sqrt(gamma) c at each count.  N is conserved, so the quadrature
+truncates each sector's monitor at its own cutoff monitor_dim(params, N)
+and zero-pads the vectors to the cutoff of the largest populated N; the
+Monte Carlo carries every sector at that largest cutoff and flushes the
+subnormal entries of its propagators to zero.
 
 The monitor factors are computed in real arithmetic.  The diagonal gauge
 U = diag((-i)^p) gives U† c U = -i c, so M_N = U W_N U† with the real
@@ -105,7 +109,9 @@ def _monitor_generator(chi: float, gamma: float, n_total: int, d_c: int) -> np.n
 
 def _sector_setup(state0: TwoModeState, params: ModelParams):
     """Populated total-N sectors, the raw weights P_N of every N, and the
-    monitor cutoff of the largest populated N."""
+    monitor cutoff of the largest populated N: the width every sector is
+    padded to in the quadrature and carried at in the Monte Carlo.  A
+    cutoff over MAX_MONITOR_DIM raises ResourceLimitError here."""
     weights = number_weights(state0)
     sectors = np.nonzero(weights / np.sum(weights) > 1e-300)[0]
     return sectors, weights, monitor_dim(params, int(sectors.max()))
@@ -115,14 +121,16 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
     """G(N, N') = sum_records w phi_N . phi_N' over the records of one
     Gauss-Legendre level (k <= 2, n_nodes per jump), phi_N real.
 
-    The nodes are antisymmetric (x[n-1-j] = -x[j]), so a segment from a jump
-    at node j to the end of its interval has the length of node n-1-j: a
-    level takes n (k = 1) or n^2 + n (k = 2) propagators per sector.
+    Sector N is propagated at its own cutoff monitor_dim(params, N) and its
+    rows are zero-padded to the shared width d_c, which leaves every dot
+    product exact.  The nodes are antisymmetric (x[n-1-j] = -x[j]), so a
+    segment from a jump at node j to the end of its interval has the length
+    of node n-1-j: a level takes n (k = 1) or n^2 + n (k = 2) propagators
+    per sector.
     """
     x, w = np.polynomial.legendre.leggauss(n_nodes)
-    jump_op = math.sqrt(params.gamma) * annihilation(d_c)
 
-    def one_count(gen, span):
+    def one_count(gen, jump_op, span):
         """Vectors at ``span`` after one count at each node of [0, span]."""
         props = expm((0.5 * span * (x + 1.0))[:, None, None] * gen)
         return props[::-1] @ (jump_op @ props[:, :, :1])
@@ -131,15 +139,17 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
     weights = {0: np.ones(1), 1: ws, 2: np.outer(ws, 0.5 * w) * s[:, None]}[k]
     phis = []
     for n_tot in sectors:
-        gen = _monitor_generator(params.chi, params.gamma, int(n_tot), d_c)
+        d = monitor_dim(params, int(n_tot))
+        gen = _monitor_generator(params.chi, params.gamma, int(n_tot), d)
+        jump_op = math.sqrt(params.gamma) * annihilation(d)
         if k == 0:
             phi = expm(gen * t)[:, :1]
         elif k == 1:
-            phi = one_count(gen, t)
+            phi = one_count(gen, jump_op, t)
         else:  # first count at node j of [0, s_i], second at s_i
             last = expm(s[::-1, None, None] * gen)
-            phi = last[:, None] @ (jump_op @ np.stack([one_count(gen, si) for si in s]))
-        phis.append(phi.reshape(-1, d_c))
+            phi = last[:, None] @ (jump_op @ np.stack([one_count(gen, jump_op, si) for si in s]))
+        phis.append(np.pad(phi.reshape(-1, d), ((0, 0), (0, d_c - d))))
     rows = np.stack(phis) * np.sqrt(weights.ravel())[:, None]
     rows = rows.reshape(len(sectors), -1)
     return rows @ rows.T
@@ -224,7 +234,19 @@ def mc_count_histogram(
     and cannot influence jump statistics, so it is not simulated).  Waiting
     times are found by threshold crossing of the squared norm, located by
     dyadic bisection to t / _BASE_STEPS / 2^_DEPTH and realigned to the step
-    grid; the interval propagators are the real expm(W_N dt).
+    grid; the interval propagators are the real expm(W_N dt), with every
+    subnormal entry (below np.finfo(float).tiny, found in the deep levels'
+    far off-diagonals) set to 0: such a term is far below the rounding of
+    any sum that holds a norm, and subnormal arithmetic is slow on many CPUs.
+
+    Each jump is placed at the last finest grid point before its threshold
+    crossing: early by less than delta = t / _BASE_STEPS / 2^_DEPTH
+    (1.5e-11 t), never late, and from the state delta earlier.  A count in
+    [0, t] can then differ from an exact sampler's only through a jump or a
+    threshold within about (k + 1) delta of t, so the bias of P(k) is of
+    order (k + 1) delta gamma (d_c - 1), d_c - 1 bounding the monitor photon
+    number: about 1e-7 on the criterion-3 gate (t = 2, gamma = 1, d_c = 58,
+    k <= _MAX_TRACK), against a 3 sigma of about 2.5e-3 there.
 
     Until its first count every trajectory carries the same vector, so the
     no-count path at the step boundaries and its norms are computed once
@@ -262,6 +284,7 @@ def mc_count_histogram(
     for si, n_tot in enumerate(sectors):
         gen = _monitor_generator(params.chi, params.gamma, int(n_tot), d_c)
         props_t[:, si] = expm(taus[:, None, None] * gen).transpose(0, 2, 1)
+    props_t[np.abs(props_t) < np.finfo(float).tiny] = 0.0  # subnormals are slow and move no norm
     c_t = annihilation(d_c).T.copy()
     sqrt_gamma = math.sqrt(params.gamma)
     hist = np.zeros(_MAX_TRACK + 2, dtype=np.int64)

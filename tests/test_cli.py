@@ -244,6 +244,14 @@ class TestProbeCommand:
         err = capsys.readouterr().err
         assert "lines" in err and "3" in err and "5" in err
 
+    def test_infinite_count_listed_by_line(self, tmp_path, capsys):
+        # int(inf) raises OverflowError, not ValueError
+        bad = tmp_path / "bad.csv"
+        bad.write_text("k,weight\n0,1.0\ninf,2.0\n-inf,1.0\n")
+        cfg = write_config(tmp_path, probe={"j_max": 3, "records": str(bad)})
+        assert main(["probe", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "lines: [3, 4]" in capsys.readouterr().err
+
     def test_probe_needs_some_input(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["probe", "--config", str(cfg), "--out", str(tmp_path)]) == 2

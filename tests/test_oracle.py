@@ -363,6 +363,23 @@ def test_sector_engine_matches_the_full_tensor(k, n_nodes):
     assert np.max(np.abs(prob * rho.rho - ref_rho)) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_per_sector_cutoffs_at_the_edges(k):
+    # the vacuum (N = 0, cutoff 10) next to N = 1 (19) and N = 5 (75): each
+    # sector at its own cutoff, zero-padded to 75, against the tensor at 75
+    params = ModelParams(lam=0.7, chi=0.5, gamma=1.0)
+    s = make_superposition([(0, 0, 0.5), (1, 0, 1.0), (2, 3, 0.8j)])
+    assert [monitor_dim(params, n) for n in (0, 1, 5)] == [10, 19, 75]
+    t = 1.1
+    evolved = apply_beam_splitter(s, params.lam, t)
+    prob, rho = oracle._quadrature_level(oracle._sector_setup(s, params), params, t, k, 8, evolved)
+    ref_prob, ref_rho = full_tensor_level(s, params, t, k, 8, 75)
+    assert abs(prob - ref_prob) <= 1e-12 * ref_prob
+    assert np.max(np.abs(prob * rho.rho - ref_rho)) <= 1e-12
+    assert abs(p_k_quadrature(s, params, t, k) - count_probability(s, params, t, k)) <= 1e-6
+    assert abs(nt_oracle_point(s, params, t, k)[1].trace - 1.0) <= 1e-8
+
+
 class TestInputValidation:
     s = make_superposition([(1, 0, 1), (0, 2, 1), (2, 2, 1)])
     params = ModelParams(lam=0.3, chi=0.967, gamma=1.0)
