@@ -22,11 +22,9 @@ factors.  The exchange part is unitary and commutes with the counts, so
 every jump record ends in sum_N psi~_N (x) phi_N: psi~ is the input evolved
 by the exchange alone to time t, and phi_N is the monitor factor driven
 from the vacuum by M_N = -i chi N (c + c†) - (gamma/2) c†c between counts
-and by sqrt(gamma) c at each count.  N is conserved, so the quadrature
-truncates each sector's monitor at its own cutoff monitor_dim(params, N)
-and zero-pads the vectors to the cutoff of the largest populated N; the
-Monte Carlo carries every sector at that largest cutoff and flushes the
-subnormal entries of its propagators to zero.
+and by sqrt(gamma) c at each count.  The quadrature cuts each sector's
+monitor at its own monitor_dim(params, N) and zero-pads it to the largest;
+the Monte Carlo carries all sectors at the largest, subnormals flushed.
 
 The monitor factors are computed in real arithmetic.  The diagonal gauge
 U = diag((-i)^p) gives U† c U = -i c, so M_N = U W_N U† with the real
@@ -109,9 +107,8 @@ def _monitor_generator(chi: float, gamma: float, n_total: int, d_c: int) -> np.n
 
 def _sector_setup(state0: TwoModeState, params: ModelParams):
     """Populated total-N sectors, the raw weights P_N of every N, and the
-    monitor cutoff of the largest populated N: the width every sector is
-    padded to in the quadrature and carried at in the Monte Carlo.  A
-    cutoff over MAX_MONITOR_DIM raises ResourceLimitError here."""
+    monitor cutoff of the largest populated N (the quadrature's padded
+    width, the Monte Carlo's array width; over budget it raises here)."""
     weights = number_weights(state0)
     sectors = np.nonzero(weights / np.sum(weights) > 1e-300)[0]
     return sectors, weights, monitor_dim(params, int(sectors.max()))
@@ -121,12 +118,11 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
     """G(N, N') = sum_records w phi_N . phi_N' over the records of one
     Gauss-Legendre level (k <= 2, n_nodes per jump), phi_N real.
 
-    Sector N is propagated at its own cutoff monitor_dim(params, N) and its
-    rows are zero-padded to the shared width d_c, which leaves every dot
-    product exact.  The nodes are antisymmetric (x[n-1-j] = -x[j]), so a
-    segment from a jump at node j to the end of its interval has the length
-    of node n-1-j: a level takes n (k = 1) or n^2 + n (k = 2) propagators
-    per sector.
+    Sector N is propagated at its own cutoff monitor_dim(params, N), its
+    rows zero-padded to d_c (exact).  The nodes are antisymmetric
+    (x[n-1-j] = -x[j]), so a segment from a jump at node j to the end of its
+    interval has the length of node n-1-j: a level takes n (k = 1) or
+    n^2 + n (k = 2) propagators per sector.
     """
     x, w = np.polynomial.legendre.leggauss(n_nodes)
 
@@ -234,19 +230,14 @@ def mc_count_histogram(
     and cannot influence jump statistics, so it is not simulated).  Waiting
     times are found by threshold crossing of the squared norm, located by
     dyadic bisection to t / _BASE_STEPS / 2^_DEPTH and realigned to the step
-    grid; the interval propagators are the real expm(W_N dt), with every
-    subnormal entry (below np.finfo(float).tiny, found in the deep levels'
-    far off-diagonals) set to 0: such a term is far below the rounding of
-    any sum that holds a norm, and subnormal arithmetic is slow on many CPUs.
+    grid; the interval propagators are the real expm(W_N dt), their
+    subnormal entries set to 0 (below the rounding of any norm, and slow).
 
-    Each jump is placed at the last finest grid point before its threshold
-    crossing: early by less than delta = t / _BASE_STEPS / 2^_DEPTH
-    (1.5e-11 t), never late, and from the state delta earlier.  A count in
-    [0, t] can then differ from an exact sampler's only through a jump or a
-    threshold within about (k + 1) delta of t, so the bias of P(k) is of
-    order (k + 1) delta gamma (d_c - 1), d_c - 1 bounding the monitor photon
-    number: about 1e-7 on the criterion-3 gate (t = 2, gamma = 1, d_c = 58,
-    k <= _MAX_TRACK), against a 3 sigma of about 2.5e-3 there.
+    A jump lands at the last finest grid point before its threshold
+    crossing, early by less than delta = t / _BASE_STEPS / 2^_DEPTH
+    (1.5e-11 t), so the bias of P(k) is of order (k + 1) delta gamma (d_c - 1),
+    d_c - 1 bounding the monitor photon number: about 1e-7 on the
+    criterion-3 gate (t = 2, gamma = 1, d_c = 58), whose 3 sigma is 2.5e-3.
 
     Until its first count every trajectory carries the same vector, so the
     no-count path at the step boundaries and its norms are computed once
@@ -284,7 +275,7 @@ def mc_count_histogram(
     for si, n_tot in enumerate(sectors):
         gen = _monitor_generator(params.chi, params.gamma, int(n_tot), d_c)
         props_t[:, si] = expm(taus[:, None, None] * gen).transpose(0, 2, 1)
-    props_t[np.abs(props_t) < np.finfo(float).tiny] = 0.0  # subnormals are slow and move no norm
+    props_t[np.abs(props_t) < np.finfo(float).tiny] = 0.0
     c_t = annihilation(d_c).T.copy()
     sqrt_gamma = math.sqrt(params.gamma)
     hist = np.zeros(_MAX_TRACK + 2, dtype=np.int64)
