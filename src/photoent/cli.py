@@ -108,12 +108,22 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _as_float(value, where: str) -> float:
+    """A real config value: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is out of range, got {value!r}")
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where} must be a number or an [re, im] pair")
+        return complex(_as_float(value[0], where), _as_float(value[1], where))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number or an [re, im] pair")
+    return complex(value)
 
 
 def load_config(path: str) -> dict:
@@ -140,9 +150,9 @@ def build_params(cfg: dict) -> ModelParams:
     _require(section, "params", {"lambda", "chi", "gamma"}, {"chi", "gamma"})
     try:
         return ModelParams(
-            lam=float(section.get("lambda", 0.0)),
-            chi=float(section["chi"]),
-            gamma=float(section["gamma"]),
+            lam=_as_float(section.get("lambda", 0.0), "params.lambda"),
+            chi=_as_float(section["chi"], "params.chi"),
+            gamma=_as_float(section["gamma"], "params.gamma"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -152,7 +162,7 @@ def build_state(cfg: dict) -> TwoModeState:
     section = cfg["state"]
     tolerances = cfg.get("tolerances", {})
     _require(tolerances, "tolerances", {"eps_trunc"}, set())
-    eps = float(tolerances.get("eps_trunc", 1e-8))
+    eps = _as_float(tolerances.get("eps_trunc", 1e-8), "tolerances.eps_trunc")
     kind = section.get("kind")
     try:
         if kind == "number":
@@ -172,11 +182,12 @@ def build_state(cfg: dict) -> TwoModeState:
                 if len(row) != 4:
                     raise ConfigError("superposition entries are [m, n, re, im] rows")
                 m, n = (_as_int(v, "state.entries m, n") for v in row[:2])
-                entries.append((m, n, complex(row[2], row[3])))
+                entries.append((m, n, _as_complex(row[2:], "state.entries re, im")))
             return make_superposition(entries)
         if kind == "two-mode-squeezed":
             _require(section, "state", {"kind", "r", "n_max"}, {"r", "n_max"})
-            return make_two_mode_squeezed(float(section["r"]), _as_int(section["n_max"], "state.n_max"))
+            r = _as_float(section["r"], "state.r")
+            return make_two_mode_squeezed(r, _as_int(section["n_max"], "state.n_max"))
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -191,11 +202,12 @@ def gamma_t_grid(cfg: dict) -> np.ndarray:
     if entry is None:
         return np.linspace(0.0, 5.0, 51)
     if isinstance(entry, list):
-        return np.asarray(entry, dtype=float)
+        return np.array([_as_float(v, "grids.gamma_t") for v in entry])
     if isinstance(entry, dict):
         _require(entry, "grids.gamma_t", {"start", "stop", "num"}, {"start", "stop", "num"})
         num = _as_int(entry["num"], "grids.gamma_t.num")
-        return np.linspace(float(entry["start"]), float(entry["stop"]), num)
+        start, stop = (_as_float(entry[key], f"grids.gamma_t.{key}") for key in ("start", "stop"))
+        return np.linspace(start, stop, num)
     raise ConfigError("grids.gamma_t must be a list or {start, stop, num}")
 
 
@@ -299,7 +311,7 @@ def cmd_oracle_check(cfg: dict, out: Path, args) -> int:
     )
     if state.n_max > 6:
         raise ConfigError(f"oracle checks need total photon number <= 6, state has {state.n_max}")
-    gt = float(section.get("gamma_t", 1.0))
+    gt = _as_float(section.get("gamma_t", 1.0), "oracle.gamma_t")
     t = gt / params.gamma
     k_quad = [_as_int(k, "oracle.k_quadrature") for k in section.get("k_quadrature", [0, 1, 2])]
     k_dens = [_as_int(k, "oracle.k_density") for k in section.get("k_density", [0, 1])]
@@ -388,7 +400,7 @@ def cmd_probe(cfg: dict, out: Path, args) -> int:
     n_other = section.get("marginal_n_other")
     if args.analytic:
         state = build_state(cfg)
-        gt = float(section.get("gamma_t", 10.0))
+        gt = _as_float(section.get("gamma_t", 10.0), "probe.gamma_t")
         moments = probe_mod.analytic_moments(state, params, gt / params.gamma, r_max=r_max)
     else:
         records_path = args.records or section.get("records")
@@ -455,7 +467,7 @@ def cmd_sample(cfg: dict, out: Path, args) -> int:
     seed = _seed(cfg, args)
     if seed is None:
         raise ConfigError("sample requires a seed (config 'seed' or --seed)")
-    gt = float(section["gamma_t"])
+    gt = _as_float(section["gamma_t"], "sample.gamma_t")
     t = gt / params.gamma
     n = _as_int(section["n_samples"], "sample.n_samples")
     ks = sample_counts(state, params, t, n, seed)

@@ -14,7 +14,8 @@ waiting-time distribution (the norm decay of the no-count semigroup).  The
 sampler computes the no-count path shared by all trajectories once and
 reads each first count off its norms; trajectories that have counted are
 stepped together, and every count inside a step is located by one batched
-bisection.
+bisection.  The threshold streams ``default_rng([seed, j])`` of all
+trajectories in a batch are computed in bulk, bitwise equal to numpy's.
 
 Y commutes with the total AB photon number N = m + n, and within a sector
 of fixed N the exchange part and the monitor part act on different tensor
@@ -80,6 +81,70 @@ _DEPTH = 30
 _MAX_TRACK = 64
 # Monte Carlo trajectories advanced together
 _BATCH = 4096
+# numpy's SeedSequence hash constants and PCG64 multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+_PCG_HI, _PCG_LO = 2549297995355413924, 4865540595714422341
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One step of numpy's SeedSequence hash on 32-bit words held in uint64;
+    returns the hashed words and the next hash constant."""
+    nxt = (const * mult) & _M32
+    value = ((value ^ const) * nxt) & _M32
+    return value ^ (value >> 16), nxt
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's state * multiplier + increment modulo 2^128 on uint64 (hi, lo)
+    halves; the high half of lo * _PCG_LO is summed from 32-bit limbs."""
+    a0, a1, b0, b1 = lo & _M32, lo >> 32, _PCG_LO & _M32, _PCG_LO >> 32
+    mid = a1 * b0 + ((a0 * b0) >> 32)
+    lo_hi = a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _M32)) >> 32)
+    return _add128(lo_hi + hi * _PCG_LO + lo * _PCG_HI, lo * _PCG_LO, inc_hi, inc_lo)
+
+
+def _streams(seed: int, start: int, n: int) -> np.ndarray:
+    """PCG64 states (hi, lo, inc_hi, inc_lo) as uint64 rows, one column per
+    trajectory j = start .. start + n - 1, equal to ``default_rng([seed, j])``:
+    a SeedSequence over the 32-bit little-endian words of ``seed`` and then
+    j (one word, j < 2^32), expanded to the 128-bit state and increment."""
+    seed = int(seed)
+    words = [np.full(n, (seed >> s) & _M32, np.uint64) for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [np.arange(start, start + n, dtype=np.uint64)] + [np.zeros(n, np.uint64)] * (3 - len(words))
+    const, pool = _INIT_A, []
+    for word in words[:4]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    pool += words[4:]  # entropy beyond the pool of 4 is mixed in last
+    for src in range(len(pool)):
+        for dst in range(4):
+            if dst != src:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = (_MIX_L * pool[dst] - _MIX_R * value) & _M32
+                pool[dst] ^= pool[dst] >> 16
+    const, out = _INIT_B, []
+    for i in range(8):  # generate_state(4, uint64): state hi, lo, sequence hi, lo
+        value, const = _hashmix(pool[i % 4], const, _MULT_B)
+        out.append(value)
+    init_hi, init_lo, seq_hi, seq_lo = (out[2 * i] | (out[2 * i + 1] << 32) for i in range(4))
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    # from state 0: one step (state = inc), add the initial state, one step
+    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, init_hi, init_lo), inc_hi, inc_lo)
+    return np.stack([hi, lo, inc_hi, inc_lo])
+
+
+def _draw(streams: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The next ``random()`` of the streams ``idx`` (no repeats): one step,
+    the XSL-RR output, its top 53 bits."""
+    hi, lo = streams[:2, idx] = _pcg_step(*streams[:, idx])
+    x, rot = hi ^ lo, hi >> 58
+    return (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
 
 
 def monitor_dim(params: ModelParams, n_total_max: int) -> int:
@@ -121,8 +186,12 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
     Sector N is propagated at its own cutoff monitor_dim(params, N), its
     rows zero-padded to d_c (exact).  The nodes are antisymmetric
     (x[n-1-j] = -x[j]), so a segment from a jump at node j to the end of its
-    interval has the length of node n-1-j: a level takes n (k = 1) or
-    n^2 + n (k = 2) propagators per sector.
+    interval has the length of node n-1-j.  At k = 2 the first count of a
+    record falls at tau_ij = s_i (x_j + 1) / 2 = tau_ji, so one propagator
+    per unordered node pair starts records (i, j) and (j, i) and carries the
+    middle segment of records (i, n-1-j) and (j, n-1-i): a level takes n
+    (k = 1) or n(n+1)/2 + n (k = 2) propagators per sector, at most 2n of
+    them held at once.
     """
     x, w = np.polynomial.legendre.leggauss(n_nodes)
 
@@ -144,7 +213,19 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
             phi = one_count(gen, jump_op, t)
         else:  # first count at node j of [0, s_i], second at s_i
             last = expm(s[::-1, None, None] * gen)
-            phi = last[:, None] @ (jump_op @ np.stack([one_count(gen, jump_op, si) for si in s]))
+            # record (i, j) just after its first count, and at its second
+            first, second = np.empty((2, n_nodes, n_nodes, d))
+            for f in range((n_nodes + 1) // 2):
+                # the pairs {i, j}, i in {f, n-1-f}, j in [f, n-1-f]: every
+                # record started here has its middle segment here too
+                i = np.repeat([f, n_nodes - 1 - f], [n_nodes - 2 * f, n_nodes - 2 * f - 1])
+                j = np.r_[f : n_nodes - f, f + 1 : n_nodes - f]
+                props = expm((0.5 * s[i] * (x[j] + 1.0))[:, None, None] * gen)
+                first[i, j] = first[j, i] = props[:, :, 0] @ jump_op.T
+                mi, mj = n_nodes - 1 - i, n_nodes - 1 - j
+                out = props @ np.stack([first[i, mj], first[j, mi]], axis=-1)
+                second[i, mj], second[j, mi] = out[..., 0], out[..., 1]
+            phi = last[:, None] @ (jump_op @ second[..., None])
         phis.append(np.pad(phi.reshape(-1, d), ((0, 0), (0, d_c - d))))
     rows = np.stack(phis) * np.sqrt(weights.ravel())[:, None]
     rows = rows.reshape(len(sectors), -1)
@@ -254,7 +335,9 @@ def mc_count_histogram(
     time and no count.
 
     Trajectory j draws its thresholds from the dedicated substream
-    ``default_rng([seed, j])``, and the histogram is an integer sum, so the
+    ``default_rng([seed, j])`` (j < n_samples <= 2^32); the streams of a
+    batch are seeded and drawn in bulk (``_streams``, ``_draw``), bit for
+    bit as numpy draws them.  The histogram is an integer sum, so the
     result is reproducible for a fixed seed independent of ``_BATCH`` (up to
     a threshold within rounding of a norm: BLAS may round a row differently
     in a batch of another size).
@@ -263,7 +346,7 @@ def mc_count_histogram(
     support (bias of order trunc_weight).
     """
     _check_time(t, positive=True)
-    _check_int("n_samples", n_samples, 1)
+    _check_int("n_samples", n_samples, 1, 2**32)
     _check_int("seed", seed, 0)
     sectors, weights, d_c = _sector_setup(state0, params)
     amps = np.sqrt(weights[sectors] / np.sum(weights))
@@ -313,8 +396,7 @@ def mc_count_histogram(
                 room[ok] -= chunk
             cur = do_jump(cur)
             jumps[low] += 1
-            for j in low:
-                u[j] = rngs[j].random()
+            u[low] = _draw(streams, low)
             after = cur.copy()
             for level in range(_DEPTH + 1):
                 take = (room & (1 << (_DEPTH - level))) != 0
@@ -333,8 +415,8 @@ def mc_count_histogram(
     path_norms = norms(path)
     for start in range(0, n_samples, _BATCH):
         n_batch = min(_BATCH, n_samples - start)
-        rngs = [np.random.default_rng([seed, start + j]) for j in range(n_batch)]
-        u = np.array([r.random() for r in rngs])
+        streams = _streams(seed, start, n_batch)
+        u = _draw(streams, np.arange(n_batch))
         jumps = np.zeros(n_batch, dtype=np.int64)
         # the first count falls in the first step whose end norm is below u
         crossed = path_norms[1:, None] < u

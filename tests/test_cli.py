@@ -370,6 +370,39 @@ class TestConfigValidation:
         assert field in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("bad", [True, "0.5"])
+    @pytest.mark.parametrize(
+        "command,field,overrides",
+        [
+            ("pm-dist", "params.lambda", lambda v: {"params": {"lambda": v, "chi": 0.5, "gamma": 1.0}}),
+            ("pm-dist", "params.chi", lambda v: {"params": {"chi": v, "gamma": 1.0}}),
+            ("pm-dist", "params.gamma", lambda v: {"params": {"chi": 0.5, "gamma": v}}),
+            (
+                "pm-dist",
+                "tolerances.eps_trunc",
+                lambda v: {"state": {"kind": "coherent", "alpha": 1.0, "beta": 0.5}, "tolerances": {"eps_trunc": v}},
+            ),
+            ("pm-dist", "state.alpha", lambda v: {"state": {"kind": "coherent", "alpha": v, "beta": 0.5}}),
+            ("pm-dist", "state.beta", lambda v: {"state": {"kind": "coherent", "alpha": 1.0, "beta": [0.5, v]}}),
+            ("pm-dist", "state.r", lambda v: {"state": {"kind": "two-mode-squeezed", "r": v, "n_max": 2}}),
+            ("pm-dist", "state.entries", lambda v: {"state": {"kind": "superposition", "entries": [[1, 0, v, 0.0]]}}),
+            ("pm-dist", "grids.gamma_t", lambda v: {"grids": {"gamma_t": [0.5, v]}}),
+            ("pm-dist", "grids.gamma_t.start", lambda v: {"grids": {"gamma_t": {"start": v, "stop": 1.0, "num": 3}}}),
+            ("pm-dist", "grids.gamma_t.stop", lambda v: {"grids": {"gamma_t": {"start": 0.0, "stop": v, "num": 3}}}),
+            ("oracle-check", "oracle.gamma_t", lambda v: {"oracle": {"gamma_t": v, "k_density": []}}),
+            ("probe", "probe.gamma_t", lambda v: {"probe": {"gamma_t": v}}),
+            ("sample", "sample.gamma_t", lambda v: {"sample": {"gamma_t": v, "n_samples": 10}, "seed": 3}),
+        ],
+    )
+    def test_non_real_field_rejected(self, tmp_path, capsys, command, field, overrides, bad):
+        # a bool or a string is never read as a number
+        cfg = write_config(tmp_path, **{"grids": {"gamma_t": [0.5], "k": [0, 1]}, **overrides(bad)})
+        flags = ["--analytic"] if command == "probe" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert field in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_non_finite_time_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grids={"gamma_t": [0.5, math.nan]})
         assert main(["count-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 2

@@ -237,6 +237,28 @@ LOW_COUNT_STATE = make_superposition([(1, 0, 1), (0, 2, 1), (1, 1, 0.5 + 0.3j), 
 LOW_COUNT_PARAMS = ModelParams(lam=0.25, chi=0.325, gamma=1.0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 5, 2**70 + 3])
+def test_threshold_streams_equal_numpy(seed):
+    # the bulk streams against one default_rng([seed, j]) per trajectory,
+    # three draws each, in the first batch and in one starting at _BATCH
+    for start, n in ((0, 5000), (oracle._BATCH, 300)):
+        streams = oracle._streams(seed, start, n)
+        bulk = np.stack([oracle._draw(streams, np.arange(n)) for _ in range(3)], axis=1)
+        rngs = [np.random.default_rng([seed, start + j]) for j in range(n)]
+        ref = np.array([[r.random() for _ in range(3)] for r in rngs])
+        assert np.array_equal(bulk, ref), (seed, start)
+
+
+def test_threshold_streams_draw_for_a_subset():
+    # a draw advances only the trajectories it names
+    streams = oracle._streams(42, 0, 100)
+    oracle._draw(streams, np.arange(100))
+    some = np.array([3, 7, 50])
+    assert np.array_equal(oracle._draw(streams, some), [np.random.default_rng([42, j]).random(2)[1] for j in some])
+    assert oracle._draw(streams, np.array([4]))[0] == np.random.default_rng([42, 4]).random(2)[1]
+    assert oracle._draw(streams, np.array([3]))[0] == np.random.default_rng([42, 3]).random(3)[2]
+
+
 class TestMonteCarlo:
     def test_seed_reproducibility(self):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
@@ -348,11 +370,12 @@ def test_quadrature_retains_no_memory():
     assert retained < 2**20
 
 
-@pytest.mark.parametrize("n_nodes", [8, 16])
+@pytest.mark.parametrize("n_nodes", [5, 8, 16])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_sector_engine_matches_the_full_tensor(k, n_nodes):
     # lam != 0 and three populated sectors (N = 1, 2, 3): the exchange
-    # evolution to t and the Gram form against the record-by-record tensor
+    # evolution to t and the Gram form against the record-by-record tensor;
+    # at an odd node count the middle node is its own mirror
     params = ModelParams(lam=0.7, chi=0.4, gamma=1.0)
     s = make_superposition([(1, 0, 1.0), (0, 2, 0.6j), (2, 1, -0.5 + 0.3j)])
     t = 1.1
