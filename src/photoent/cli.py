@@ -123,7 +123,7 @@ def _as_complex(value, where: str) -> complex:
         return complex(_as_float(value[0], where), _as_float(value[1], where))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number or an [re, im] pair")
-    return complex(value)
+    return complex(_as_float(value, where))
 
 
 def load_config(path: str) -> dict:

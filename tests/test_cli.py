@@ -370,7 +370,7 @@ class TestConfigValidation:
         assert field in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("bad", [True, "0.5"])
+    @pytest.mark.parametrize("bad", [True, "0.5", pytest.param(10**400, id="1e400")])
     @pytest.mark.parametrize(
         "command,field,overrides",
         [
@@ -395,7 +395,8 @@ class TestConfigValidation:
         ],
     )
     def test_non_real_field_rejected(self, tmp_path, capsys, command, field, overrides, bad):
-        # a bool or a string is never read as a number
+        # a bool or a string is never read as a number, and an integer
+        # beyond the float range fails with the field's name
         cfg = write_config(tmp_path, **{"grids": {"gamma_t": [0.5], "k": [0, 1]}, **overrides(bad)})
         flags = ["--analytic"] if command == "probe" else []
         out = tmp_path / "out"

@@ -439,7 +439,7 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             mc_estimates(self.s, self.params, 5.0, [k], 1000, seed=1)
 
-    @pytest.mark.parametrize("n_samples", [0, -3, True, 2.0, None])
+    @pytest.mark.parametrize("n_samples", [0, -3, True, 2.0, None, 2**32 + 1])
     def test_bad_sample_count_rejected(self, n_samples):
         with pytest.raises(ValueError):
             mc_count_histogram(self.s, self.params, 1.0, n_samples, seed=1)
