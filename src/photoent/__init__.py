@@ -18,7 +18,6 @@ from .fock import (
     ImpossibleOutcomeError,
     ModelParams,
     ResourceLimitError,
-    TwoModeDensity,
     TwoModeState,
     apply_beam_splitter,
     density_from_pure,
@@ -31,7 +30,6 @@ from .fock import (
     number_moment,
     number_weights,
     partial_trace,
-    pure_state_fidelity,
     purity,
     separable_benchmark,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "ResourceLimitError",
     "ScanRow",
     "SdKernels",
-    "TwoModeDensity",
     "TwoModeState",
     "apply_beam_splitter",
     "coherent_count_moments",
@@ -95,7 +92,6 @@ __all__ = [
     "pm_postselect",
     "pm_probability",
     "postselect_density",
-    "pure_state_fidelity",
     "purity",
     "sample_counts",
     "sample_pm_counts",

@@ -1,12 +1,13 @@
-"""Truncated two-mode Fock space: states, beam-splitter evolution, partial
-traces and linear-entropy correlation diagnostics.
+"""Truncated two-mode Fock space: states, beam-splitter evolution, the
+sector-dephased density and linear-entropy correlation diagnostics.
 
 Conventions used throughout the package:
 
 * a two-mode pure state is a coefficient matrix ``C[m, n]`` over photon
   numbers ``m < d_a`` (mode A) and ``n < d_b`` (mode B),
-* a two-mode density matrix is indexed by the row-major flattening
-  ``(m, n) -> m * d_b + n``,
+* the one density type is `DephasedState`, a pure state times a sector
+  matrix ``w(N, N')``; its dense form is indexed by the row-major
+  flattening ``(m, n) -> m * d_b + n``,
 * the total photon number ``N = m + n`` is conserved by every evolution in
   this package, so many quantities reduce to the anti-diagonal weights
   ``P_N = sum_{m+n=N} |C[m, n]|^2``.
@@ -15,7 +16,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,8 +23,6 @@ from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-log = logging.getLogger(__name__)
 
 DEFAULT_EPS_TRUNC = 1e-8
 DEFAULT_MAX_DIM = 1024
@@ -119,33 +117,6 @@ class TwoModeState:
         return self.d_a + self.d_b - 2
 
 
-@dataclass(frozen=True)
-class TwoModeDensity:
-    """Mixed state of modes A and B, indexed by ``(m, n) -> m * d_b + n``."""
-
-    rho: np.ndarray
-    d_a: int
-    d_b: int
-
-    def __post_init__(self):
-        arr = np.array(self.rho, dtype=complex, copy=True)
-        dim = self.d_a * self.d_b
-        if arr.shape != (dim, dim):
-            raise ValueError(f"rho has shape {arr.shape}, expected {(dim, dim)}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("rho must be finite (NaN or infinite entries found)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rho", arr)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
-
-    @property
-    def n_max(self) -> int:
-        return self.d_a + self.d_b - 2
-
-
 def _totals(d_a: int, d_b: int) -> np.ndarray:
     """Total photon number N = m + n on the (d_a, d_b) grid."""
     return np.arange(d_a)[:, None] + np.arange(d_b)[None, :]
@@ -163,8 +134,9 @@ class DephasedState:
     real symmetric sector matrix over N, N' = 0..n_max: every state
     conditioned on a count record, since N is never disturbed.  The closed
     form's w is exp(-mu (N - N')^2 / 2), the oracle's its Gram matrix over
-    P(k).  Behaves like `TwoModeDensity`; ``rho`` is built once, and
-    `entanglement_report` takes the entropies from ``state`` and ``w``."""
+    P(k).  The dense ``(d_a d_b)^2`` matrix ``rho`` is built once for the
+    readers that want it; `number_weights` and `entanglement_report` work
+    from ``state`` and ``w`` alone."""
 
     state: TwoModeState
     w: np.ndarray
@@ -366,25 +338,21 @@ def apply_beam_splitter(state: TwoModeState, lam: float, t: float) -> TwoModeSta
     return TwoModeState(out, trunc_weight=state.trunc_weight)
 
 
-def number_weights(source: TwoModeState | TwoModeDensity) -> np.ndarray:
+def number_weights(source: TwoModeState | DephasedState) -> np.ndarray:
     """Anti-diagonal weights P_N = P(total photon number = N), N = 0..n_max.
 
-    For a state these are sums of |C|^2; for a density, sums of diagonal
-    elements.  The weights sum to 1 - trunc_weight (states) or to the trace.
+    For a state these are sums of |C|^2, summing to 1 - trunc_weight; a
+    `DephasedState` scales them by the diagonal of ``w``, summing to its
+    trace.
     """
-    if isinstance(source, TwoModeState):
-        mags = np.abs(source.coeffs) ** 2
-        d_a, d_b = source.d_a, source.d_b
-    else:
-        diag = np.diag(source.rho).real
-        d_a, d_b = source.d_a, source.d_b
-        mags = diag.reshape(d_a, d_b)
-    weights = np.zeros(d_a + d_b - 1)
-    np.add.at(weights, _totals(d_a, d_b).ravel(), mags.ravel())
+    if isinstance(source, DephasedState):
+        return number_weights(source.state) * np.diagonal(source.w)
+    weights = np.zeros(source.n_max + 1)
+    np.add.at(weights, _totals(source.d_a, source.d_b).ravel(), (np.abs(source.coeffs) ** 2).ravel())
     return weights
 
 
-def number_moment(source: TwoModeState | TwoModeDensity, power: int) -> float:
+def number_moment(source: TwoModeState | DephasedState, power: int) -> float:
     """<N^power> of the (renormalized) truncated state."""
     weights = number_weights(source)
     total = float(np.sum(weights))
@@ -396,7 +364,7 @@ def density_from_pure(state: TwoModeState) -> DephasedState:
     return DephasedState(state, np.ones((state.n_max + 1,) * 2))
 
 
-def partial_trace(rho: TwoModeDensity, keep: str) -> np.ndarray:
+def partial_trace(rho: DephasedState, keep: str) -> np.ndarray:
     """Reduce to one mode; ``keep`` is "A" or "B".  Trace is preserved."""
     r = rho.rho.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
     if keep == "A":
@@ -432,27 +400,14 @@ def _sector_entropies(state: TwoModeState, w: np.ndarray) -> tuple[float, float,
     return linear_entropy(_marginal(w, c)), linear_entropy(_marginal(w, c.T)), s_ab
 
 
-def entanglement_report(rho: TwoModeDensity | DephasedState) -> EntanglementReport:
+def entanglement_report(rho: DephasedState) -> EntanglementReport:
     """Linear entropies S = 1 - Tr rho^2 of both marginals and of the joint
     state, the excess S_A + S_B - S_AB, and the two-sided bound check
-    0 <= excess <= 2 min(S_A, S_B).  A `DephasedState` is Hermitian by
-    construction and reports from its sectors; a dense density is
-    symmetrized first if needed."""
+    0 <= excess <= 2 min(S_A, S_B), all from the sectors of ``rho``."""
     tr = rho.trace
     if abs(tr - 1.0) > 1e-6:
         raise ValueError(f"density trace {tr:.9f} deviates from 1 beyond 1e-6")
-    if isinstance(rho, DephasedState):
-        s_a, s_b, s_ab = _sector_entropies(rho.state, rho.w)
-    else:
-        mat = rho.rho
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > 1e-12:
-            log.debug("symmetrizing density, hermiticity defect %.3e", herm_defect)
-            mat = (mat + mat.conj().T) / 2
-            rho = TwoModeDensity(mat, rho.d_a, rho.d_b)
-        s_a = linear_entropy(partial_trace(rho, "A"))
-        s_b = linear_entropy(partial_trace(rho, "B"))
-        s_ab = linear_entropy(mat)
+    s_a, s_b, s_ab = _sector_entropies(rho.state, rho.w)
     excess = s_a + s_b - s_ab
     ok = (-1e-10 <= excess) and (excess <= 2.0 * min(s_a, s_b) + 1e-10)
     return EntanglementReport(s_a, s_b, s_ab, excess, ok)
@@ -467,14 +422,6 @@ def separable_benchmark(dim_a: int, dim_b: int) -> tuple[float, float]:
     excess = 1.0 - (1.0 / dim_a + 1.0 / dim_b - 1.0 / (dim_a * dim_b))
     s_ab = 1.0 - 1.0 / (dim_a * dim_b)
     return excess, s_ab
-
-
-def pure_state_fidelity(rho: TwoModeDensity, state: TwoModeState) -> float:
-    """<psi| rho |psi> for a pure reference state."""
-    if (rho.d_a, rho.d_b) != (state.d_a, state.d_b):
-        raise ValueError("dimension mismatch between density and state")
-    psi = state.coeffs.reshape(-1)
-    return float(np.real(psi.conj() @ rho.rho @ psi))
 
 
 def fix_global_phase(coeffs: np.ndarray) -> np.ndarray:

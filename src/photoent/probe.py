@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ModelParams, TwoModeDensity, TwoModeState, _check_int, _check_time, number_weights
+from .fock import DephasedState, ModelParams, TwoModeState, _check_int, _check_time, number_weights
 from .photocount import eval_kernels
 
 DEFAULT_R_MAX = 12
@@ -147,7 +147,7 @@ def _stirling2(r_max: int) -> np.ndarray:
 
 
 def analytic_moments(
-    source: TwoModeState | TwoModeDensity,
+    source: TwoModeState | DephasedState,
     params: ModelParams,
     t: float,
     r_max: int = DEFAULT_R_MAX,

@@ -158,23 +158,30 @@ def postselect_pure(state0: TwoModeState, lam: float, t: float, k: int, u: float
     return PmOutcome(k=k, t=t, probability=probability, post_state=post)
 
 
+def _pm_u(chi: float, t: float) -> float:
+    """Component scale u = (chi t)^2 of the projective readout, after
+    checking chi (finite, > 0) and t (finite, >= 0)."""
+    if not (math.isfinite(chi) and chi > 0):
+        raise ValueError(f"chi must be finite and > 0, got {chi!r}")
+    _check_time(t)
+    return (chi * t) ** 2
+
+
 def pm_probability(state0: TwoModeState, chi: float, t: float, k: int) -> float:
     """Probability of finding k photons in the monitor at time t,
     sum_N P_N Poisson(k; (chi t N)^2)."""
-    _check_time(t)
     _check_int("k", k, 0)
-    return mixture_pmf(*sector_means(state0, (chi * t) ** 2), k)
+    return mixture_pmf(*sector_means(state0, _pm_u(chi, t)), k)
 
 
 def pm_count_cutoff(state0: TwoModeState, chi: float, t: float, tail: float = TAIL_MASS) -> int:
-    return mixture_cutoff(state0, (chi * t) ** 2, tail)
+    return mixture_cutoff(state0, _pm_u(chi, t), tail)
 
 
 def pm_distribution_row(state0: TwoModeState, chi: float, t: float, k_max: int) -> np.ndarray:
     """P(k, t) for k = 0..k_max; row-vectorized version of `pm_probability`."""
-    _check_time(t)
     _check_int("k_max", k_max, 0)
-    return mixture_pmf_row(*sector_means(state0, (chi * t) ** 2), k_max)
+    return mixture_pmf_row(*sector_means(state0, _pm_u(chi, t)), k_max)
 
 
 def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int) -> PmOutcome:
@@ -186,7 +193,7 @@ def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int
     inputs the reweighting is a scalar, so the result is the freely evolved
     state, independent of k.
     """
-    return postselect_pure(state0, lam, t, k, (chi * t) ** 2)
+    return postselect_pure(state0, lam, t, k, _pm_u(chi, t))
 
 
 def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float, float]:
@@ -198,8 +205,7 @@ def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float,
     variance returned here is that of the full distribution, i.e. it
     includes the Poisson shot-noise term ``k_mean``.
     """
-    _check_time(t)
-    return mixture_moments(state0, (chi * t) ** 2)
+    return mixture_moments(state0, _pm_u(chi, t))
 
 
 def infer_total_mean_photons(k_mean: float, excess_var: float, chi: float, t: float) -> float:
@@ -252,4 +258,4 @@ def sample_pm_counts(
     Sampling is exact for the truncated state: first the total photon number
     N is drawn from its renormalized distribution, then k ~ Poisson((chi t N)^2).
     """
-    return sample_mixture(state0, (chi * t) ** 2, n_samples, seed)
+    return sample_mixture(state0, _pm_u(chi, t), n_samples, seed)

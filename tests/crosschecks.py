@@ -13,7 +13,15 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from photoent import ModelParams, TwoModeState, eval_kernels, number_weights
+from photoent import (
+    DephasedState,
+    ModelParams,
+    TwoModeState,
+    eval_kernels,
+    linear_entropy,
+    number_weights,
+    partial_trace,
+)
 from photoent.fock import ConvergenceError, _bs_block_eig
 from photoent.oracle import _monitor_generator, monitor_dim
 
@@ -63,6 +71,16 @@ def single_factorial_series(moments, x_grid: np.ndarray) -> np.ndarray:
         terms = [(-1.0) ** r * xi ** (2 * r) * kappa[r] / math.factorial(r) for r in range(len(kappa))]
         series.append(math.fsum(terms))
     return np.array(series)
+
+
+def dense_entropies(rho: DephasedState) -> dict[str, float]:
+    """S_A, S_B, S_AB and the excess from the dense ``(d_a d_b)^2`` matrix:
+    the linear entropies of both partial traces and of ``rho.rho`` itself,
+    where `entanglement_report` sums over the sectors of ``w``."""
+    s_a = linear_entropy(partial_trace(rho, "A"))
+    s_b = linear_entropy(partial_trace(rho, "B"))
+    s_ab = linear_entropy(rho.rho)
+    return {"s_a": s_a, "s_b": s_b, "s_ab": s_ab, "excess": s_a + s_b - s_ab}
 
 
 def apply_mixing_series(sigma: np.ndarray, totals: np.ndarray, mu: float, l_max: int) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from photoent import (
+    DephasedState,
     ModelParams,
     entanglement_report,
     entanglement_scan,
@@ -47,7 +48,6 @@ from photoent.projective import (
     pm_count_cutoff,
     pm_distribution_row,
 )
-from photoent.fock import TwoModeDensity
 
 from conftest import random_state
 from crosschecks import conditioned_trace, single_factorial_series
@@ -238,12 +238,10 @@ def test_criterion_6_probe_round_trip(rng):
     verdict = classify_special_state(moments)
     assert not verdict.coefficients_recoverable
     assert "unrecoverable" in verdict.message
-    # information ceiling: pure correlated state vs its diagonal mixture
+    # information ceiling: pure correlated state vs its diagonal mixture, which
+    # is w = I since the state has one basis state |n, n> per sector N = 2n
     pure = make_two_mode_squeezed(0.4, 6)
-    diag = np.zeros(pure.d_a * pure.d_b)
-    for n in range(7):
-        diag[n * pure.d_b + n] = np.abs(pure.coeffs[n, n]) ** 2
-    mixed = TwoModeDensity(np.diag(diag.astype(complex)), pure.d_a, pure.d_b)
+    mixed = DephasedState(pure, np.eye(pure.n_max + 1))
     rep_pure = probe_report(analytic_moments(pure, params, t))
     rep_mixed = probe_report(analytic_moments(mixed, params, t))
     assert np.array_equal(rep_pure.h_samples.values, rep_mixed.h_samples.values)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from photoent import (
-    TwoModeDensity,
+    DephasedState,
     TwoModeState,
     apply_beam_splitter,
     density_from_pure,
@@ -15,12 +15,11 @@ from photoent import (
     make_two_mode_squeezed,
     number_weights,
     partial_trace,
-    pure_state_fidelity,
     separable_benchmark,
 )
 from photoent.fock import ModelParams, ResourceLimitError, pad_state
 
-from conftest import random_state
+from conftest import random_gram_w, random_state
 
 
 class TestConstructors:
@@ -107,8 +106,6 @@ class TestConstructors:
     def test_non_finite_input_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             TwoModeState(np.array([[1.0, bad]]))
-        with pytest.raises(ValueError, match="finite"):
-            TwoModeDensity(np.array([[1.0, 0.0], [0.0, bad]]), 1, 2)
         with pytest.raises(ValueError, match="alpha"):
             make_coherent_product(bad, 1.0)
         with pytest.raises(ValueError, match="beta"):
@@ -217,15 +214,22 @@ class TestDensities:
             assert abs(np.trace(partial_trace(rho, keep)).real - 1.0) < 1e-12
 
     def test_partial_trace_is_linear_under_mixing(self, rng):
-        r1 = density_from_pure(random_state(rng, 4, 4)).rho
-        r2 = density_from_pure(random_state(rng, 4, 4)).rho
+        s = random_state(rng, 4, 4)
+        w1, w2 = random_gram_w(rng, s.n_max + 1), random_gram_w(rng, s.n_max + 1)
         p = 0.3
-        mixed = TwoModeDensity(p * r1 + (1 - p) * r2, 4, 4)
-        direct = partial_trace(mixed, "B")
-        combo = p * partial_trace(TwoModeDensity(r1, 4, 4), "B") + (1 - p) * partial_trace(
-            TwoModeDensity(r2, 4, 4), "B"
+        direct = partial_trace(DephasedState(s, p * w1 + (1 - p) * w2), "B")
+        combo = p * partial_trace(DephasedState(s, w1), "B") + (1 - p) * partial_trace(
+            DephasedState(s, w2), "B"
         )
         assert np.max(np.abs(direct - combo)) < 1e-12
+
+    def test_number_weights_of_a_dephased_state(self, rng):
+        s = random_state(rng, 4, 5)
+        rho = DephasedState(s, random_gram_w(rng, s.n_max + 1) * 0.9)
+        weights = number_weights(rho)
+        assert np.array_equal(weights, number_weights(s) * np.diagonal(rho.w))
+        assert abs(np.sum(weights) - rho.trace) <= 1e-15
+        assert np.array_equal(number_weights(density_from_pure(s)), number_weights(s))
 
 
 class TestEntanglementReport:
@@ -245,12 +249,6 @@ class TestEntanglementReport:
         assert abs(rep.excess - 1.0) < 1e-12
         assert rep.araki_lieb_ok
 
-    def test_maximally_mixed_two_by_two(self):
-        rho = TwoModeDensity(np.eye(4) / 4.0, 2, 2)
-        rep = entanglement_report(rho)
-        assert abs(rep.excess - 0.25) < 1e-12
-        assert abs(rep.s_ab - 0.75) < 1e-12
-
     def test_pure_states_have_equal_marginals(self, rng):
         for _ in range(10):
             rep = entanglement_report(density_from_pure(random_state(rng, 5, 4)))
@@ -260,15 +258,13 @@ class TestEntanglementReport:
 
     def test_bound_on_random_mixtures(self, rng):
         for _ in range(10):
-            rhos = [density_from_pure(random_state(rng, 4, 4)).rho for _ in range(3)]
-            w = rng.dirichlet(np.ones(3))
-            mixed = TwoModeDensity(sum(wi * ri for wi, ri in zip(w, rhos)), 4, 4)
-            rep = entanglement_report(mixed)
+            s = random_state(rng, 4, 4)
+            rep = entanglement_report(DephasedState(s, random_gram_w(rng, s.n_max + 1)))
             assert rep.araki_lieb_ok
 
     def test_rejects_badly_normalized_input(self):
         with pytest.raises(ValueError, match="trace"):
-            entanglement_report(TwoModeDensity(np.eye(4) / 3.9, 2, 2))
+            entanglement_report(DephasedState(make_number_state(0, 0, 2, 2), np.full((3, 3), 4 / 3.9)))
 
 
 class TestSeparableBenchmark:
@@ -282,8 +278,3 @@ class TestSeparableBenchmark:
         excess, s_ab = separable_benchmark(10**6, 10**6)
         assert abs(excess - 1.0) <= 2e-6
         assert abs(s_ab - 1.0) <= 2e-6
-
-
-def test_pure_state_fidelity_self(rng):
-    s = random_state(rng, 4, 4)
-    assert abs(pure_state_fidelity(density_from_pure(s), s) - 1.0) < 1e-12

@@ -12,7 +12,6 @@ from scipy.linalg import expm
 from photoent import (
     DephasedState,
     ModelParams,
-    TwoModeDensity,
     apply_beam_splitter,
     count_probability,
     entanglement_report,
@@ -34,6 +33,7 @@ from photoent.photocount import eval_kernels
 
 from crosschecks import (
     ThreeModeState,
+    dense_entropies,
     embed_with_monitor,
     full_tensor_level,
     jump,
@@ -209,9 +209,9 @@ class TestConditionalDensity:
             rho = nt_oracle_point(s, P, 1.1, k)[1]
             assert isinstance(rho, DephasedState)
             sector = entanglement_report(rho)
-            dense = entanglement_report(TwoModeDensity(rho.rho, rho.d_a, rho.d_b))
+            dense = dense_entropies(rho)
             for name in ("s_a", "s_b", "s_ab", "excess"):
-                assert abs(getattr(sector, name) - getattr(dense, name)) <= 1e-13, (k, name)
+                assert abs(getattr(sector, name) - dense[name]) <= 1e-13, (k, name)
 
     def test_criterion_3_points_are_pinned(self):
         # real-arithmetic propagation moves these by rounding only

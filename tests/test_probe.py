@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from photoent import (
+    DephasedState,
     ModelParams,
-    TwoModeDensity,
+    density_from_pure,
     make_coherent_product,
     make_number_state,
     make_superposition,
@@ -104,6 +106,13 @@ class TestAnalyticMoments:
     def test_bad_time_rejected(self, t):
         with pytest.raises(ValueError, match="t must be finite"):
             analytic_moments(make_number_state(1, 0, 2, 2), P, t)
+
+    def test_pure_density_gives_the_moments_of_its_state(self, rng):
+        s = random_state(rng, 4, 5)
+        pure, dense = analytic_moments(s, P, 0.7), analytic_moments(density_from_pure(s), P, 0.7)
+        for field in dataclasses.fields(pure):
+            a, b = getattr(pure, field.name), getattr(dense, field.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
 
 
 class TestEmpiricalMoments:
@@ -321,13 +330,10 @@ class TestClassification:
         assert rep.kind == "indeterminate"
 
     def test_pure_and_mixed_diagonal_states_indistinguishable(self):
-        # identical anti-diagonal sums produce bit-identical reports
+        # identical anti-diagonal sums produce bit-identical reports; the state
+        # has one basis state |n, n> per sector N = 2n, so w = I is its diagonal mixture
         s = make_two_mode_squeezed(0.4, 6)
-        dim = s.d_a * s.d_b
-        diag = np.zeros(dim)
-        for n in range(7):
-            diag[n * s.d_b + n] = np.abs(s.coeffs[n, n]) ** 2
-        mixture = TwoModeDensity(np.diag(diag.astype(complex)), s.d_a, s.d_b)
+        mixture = DephasedState(s, np.eye(s.n_max + 1))
         mom_pure = analytic_moments(s, P, 1.0)
         mom_mixed = analytic_moments(mixture, P, 1.0)
         assert np.array_equal(mom_pure.kappa_moments, mom_mixed.kappa_moments)

@@ -22,6 +22,7 @@ from photoent.projective import (
     coherent_count_moments,
     infer_total_mean_photons,
     pm_count_cutoff,
+    pm_distribution_row,
     sample_pm_counts,
 )
 
@@ -190,8 +191,6 @@ class TestInferTotalMeanPhotons:
 
 
 def test_distribution_row_matches_scalar_form(rng):
-    from photoent.projective import pm_distribution_row
-
     s = random_state(rng, 4, 5)
     row = pm_distribution_row(s, 0.8, 0.9, 12)
     for k in range(13):
@@ -200,7 +199,7 @@ def test_distribution_row_matches_scalar_form(rng):
 
 def test_count_cutoff_follows_the_populated_sectors():
     # README state at eps_trunc 1e-14 (d = 31), chi t = 0.967 * 2
-    from photoent.projective import k_cutoff, pm_distribution_row
+    from photoent.projective import k_cutoff
 
     s = make_coherent_product(math.sqrt(5), math.sqrt(5), eps_trunc=1e-14)
     chi, t = 0.967, 2.0
@@ -218,3 +217,22 @@ def test_sampling_is_seed_reproducible():
     assert np.array_equal(a, b)
     c = sample_pm_counts(s, 1.0, 0.5, 200, seed=12)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("chi", [math.nan, math.inf, 0.0, -0.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, chi: pm_probability(s, chi, 1.0, 1),
+        lambda s, chi: pm_distribution_row(s, chi, 1.0, 4),
+        lambda s, chi: pm_count_cutoff(s, chi, 1.0),
+        lambda s, chi: pm_mean_variance(s, chi, 1.0),
+        lambda s, chi: pm_postselect(s, 0.1, chi, 1.0, 1),
+        lambda s, chi: sample_pm_counts(s, chi, 1.0, 10, seed=1),
+    ],
+    ids=["probability", "distribution_row", "count_cutoff", "mean_variance", "postselect", "sample"],
+)
+def test_bad_chi_rejected(call, chi):
+    # ModelParams rejects these; the readout functions take a bare chi
+    with pytest.raises(ValueError, match="chi must be finite and > 0"):
+        call(make_superposition([(1, 0, 1.0), (1, 1, 1.0)]), chi)
