@@ -10,12 +10,11 @@ nested time-ordered integral over jump times of no-count segments separated
 by jumps.  Probabilities and conditional densities for k <= 2 come from
 deterministic nested Gauss-Legendre quadrature over the jump-time simplex,
 higher k from Monte Carlo sampling of jump times from the exact
-waiting-time distribution (the norm decay of the no-count semigroup).  The
-sampler computes the no-count path shared by all trajectories once and
-reads each first count off its norms; trajectories that have counted are
-stepped together, and every count inside a step is located by one batched
-bisection.  The threshold streams ``default_rng([seed, j])`` of all
-trajectories in a batch are computed in bulk, bitwise equal to numpy's.
+waiting-time distribution (the norm decay of the no-count semigroup).  A
+trajectory draws its sector N first and carries that sector alone; the
+sampler computes each sector's no-count path once, reads each first count
+off its norms, and locates every later count by one batched bisection,
+all thresholds drawn from one ``default_rng(seed)``.
 
 Y commutes with the total AB photon number N = m + n, and within a sector
 of fixed N the exchange part and the monitor part act on different tensor
@@ -23,9 +22,9 @@ factors.  The exchange part is unitary and commutes with the counts, so
 every jump record ends in sum_N psi~_N (x) phi_N: psi~ is the input evolved
 by the exchange alone to time t, and phi_N is the monitor factor driven
 from the vacuum by M_N = -i chi N (c + c†) - (gamma/2) c†c between counts
-and by sqrt(gamma) c at each count.  The quadrature cuts each sector's
-monitor at its own monitor_dim(params, N) and zero-pads it to the largest;
-the Monte Carlo carries all sectors at the largest, subnormals flushed.
+and by sqrt(gamma) c at each count.  Both oracles cut each sector's
+monitor at its own monitor_dim(params, N); the quadrature zero-pads it to
+the largest, the Monte Carlo flushes its subnormals.
 
 The monitor factors are computed in real arithmetic.  The diagonal gauge
 U = diag((-i)^p) gives U† c U = -i c, so M_N = U W_N U† with the real
@@ -81,70 +80,6 @@ _DEPTH = 30
 _MAX_TRACK = 64
 # Monte Carlo trajectories advanced together
 _BATCH = 4096
-# numpy's SeedSequence hash constants and PCG64 multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
-_PCG_HI, _PCG_LO = 2549297995355413924, 4865540595714422341
-
-
-def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One step of numpy's SeedSequence hash on 32-bit words held in uint64;
-    returns the hashed words and the next hash constant."""
-    nxt = (const * mult) & _M32
-    value = ((value ^ const) * nxt) & _M32
-    return value ^ (value >> 16), nxt
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < a_lo), lo
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """PCG64's state * multiplier + increment modulo 2^128 on uint64 (hi, lo)
-    halves; the high half of lo * _PCG_LO is summed from 32-bit limbs."""
-    a0, a1, b0, b1 = lo & _M32, lo >> 32, _PCG_LO & _M32, _PCG_LO >> 32
-    mid = a1 * b0 + ((a0 * b0) >> 32)
-    lo_hi = a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _M32)) >> 32)
-    return _add128(lo_hi + hi * _PCG_LO + lo * _PCG_HI, lo * _PCG_LO, inc_hi, inc_lo)
-
-
-def _streams(seed: int, start: int, n: int) -> np.ndarray:
-    """PCG64 states (hi, lo, inc_hi, inc_lo) as uint64 rows, one column per
-    trajectory j = start .. start + n - 1, equal to ``default_rng([seed, j])``:
-    a SeedSequence over the 32-bit little-endian words of ``seed`` and then
-    j (one word, j < 2^32), expanded to the 128-bit state and increment."""
-    seed = int(seed)
-    words = [np.full(n, (seed >> s) & _M32, np.uint64) for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [np.arange(start, start + n, dtype=np.uint64)] + [np.zeros(n, np.uint64)] * (3 - len(words))
-    const, pool = _INIT_A, []
-    for word in words[:4]:
-        value, const = _hashmix(word, const, _MULT_A)
-        pool.append(value)
-    pool += words[4:]  # entropy beyond the pool of 4 is mixed in last
-    for src in range(len(pool)):
-        for dst in range(4):
-            if dst != src:
-                value, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = (_MIX_L * pool[dst] - _MIX_R * value) & _M32
-                pool[dst] ^= pool[dst] >> 16
-    const, out = _INIT_B, []
-    for i in range(8):  # generate_state(4, uint64): state hi, lo, sequence hi, lo
-        value, const = _hashmix(pool[i % 4], const, _MULT_B)
-        out.append(value)
-    init_hi, init_lo, seq_hi, seq_lo = (out[2 * i] | (out[2 * i + 1] << 32) for i in range(4))
-    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    # from state 0: one step (state = inc), add the initial state, one step
-    hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, init_hi, init_lo), inc_hi, inc_lo)
-    return np.stack([hi, lo, inc_hi, inc_lo])
-
-
-def _draw(streams: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The next ``random()`` of the streams ``idx`` (no repeats): one step,
-    the XSL-RR output, its top 53 bits."""
-    hi, lo = streams[:2, idx] = _pcg_step(*streams[:, idx])
-    x, rot = hi ^ lo, hi >> 58
-    return (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
 
 
 def monitor_dim(params: ModelParams, n_total_max: int) -> int:
@@ -173,7 +108,7 @@ def _monitor_generator(chi: float, gamma: float, n_total: int, d_c: int) -> np.n
 def _sector_setup(state0: TwoModeState, params: ModelParams):
     """Populated total-N sectors, the raw weights P_N of every N, and the
     monitor cutoff of the largest populated N (the quadrature's padded
-    width, the Monte Carlo's array width; over budget it raises here)."""
+    width; over budget it raises here, before any oracle work)."""
     weights = number_weights(state0)
     sectors = np.nonzero(weights / np.sum(weights) > 1e-300)[0]
     return sectors, weights, monitor_dim(params, int(sectors.max()))
@@ -297,6 +232,85 @@ def nt_oracle_point(state0: TwoModeState, params: ModelParams, t: float, k: int)
     return prob, rho
 
 
+def _mc_sector(params: ModelParams, n_tot: int, t: float, n_traj: int, rng: np.random.Generator) -> np.ndarray:
+    """Count histogram of ``n_traj`` trajectories of sector ``n_tot`` at its
+    cutoff monitor_dim(params, n_tot), the monitor starting in the vacuum."""
+    d_c = monitor_dim(params, n_tot)
+    # transposed propagators per level: batches advance by row-vector matmul
+    taus = t / _BASE_STEPS / 2.0 ** np.arange(_DEPTH + 1)
+    gen = _monitor_generator(params.chi, params.gamma, n_tot, d_c)
+    props_t = expm(taus[:, None, None] * gen).transpose(0, 2, 1)
+    props_t[np.abs(props_t) < np.finfo(float).tiny] = 0.0
+    c_t = annihilation(d_c).T.copy()
+    hist = np.zeros(_MAX_TRACK + 2, dtype=np.int64)
+
+    def norms(phi: np.ndarray) -> np.ndarray:
+        return np.sum(phi * phi, axis=-1)
+
+    def do_jump(phi: np.ndarray) -> np.ndarray:
+        out = phi @ c_t
+        return out / np.maximum(np.sqrt(norms(out)), 1e-300)[:, None]
+
+    def jump_in_step(low: np.ndarray, cur: np.ndarray) -> None:
+        """Trajectories ``low`` cross their threshold inside the base step
+        that starts at ``cur``; leave them at the end of the step.
+
+        ``room``, the part of the step still ahead, counts finest chunks of
+        t / _BASE_STEPS / 2^_DEPTH.  Each round bisects to the last finest
+        grid point whose norm is at or above the threshold (taking only
+        chunks that end before the step does), jumps there, moves on to the
+        next threshold, and walks the rest of the step largest chunk first;
+        trajectories whose step-end norm is below the new threshold go round
+        again from just after their jump.  ``cur`` is overwritten."""
+        room = np.full(low.size, 1 << _DEPTH, dtype=np.int64)
+        while low.size:
+            u = thresholds[low, jumps[low]]
+            for level in range(1, _DEPTH + 1):
+                chunk = 1 << (_DEPTH - level)
+                cand = cur @ props_t[level]
+                ok = (chunk < room) & (norms(cand) >= u)
+                cur[ok] = cand[ok]
+                room[ok] -= chunk
+            cur = do_jump(cur)
+            jumps[low] += 1
+            after = cur.copy()
+            for level in range(_DEPTH + 1):
+                take = (room & (1 << (_DEPTH - level))) != 0
+                if np.any(take):
+                    cur[take] = cur[take] @ props_t[level]
+            phi[low] = cur
+            again = (norms(cur) < thresholds[low, jumps[low]]) & (jumps[low] <= _MAX_TRACK)
+            low, cur, room = low[again], after[again], room[again]
+
+    # every trajectory carries the same vector until its first count: the
+    # no-count path at the step boundaries, path[s] at time s t / _BASE_STEPS
+    path = np.zeros((_BASE_STEPS + 1, d_c))
+    path[0, 0] = 1.0
+    for step in range(_BASE_STEPS):
+        path[step + 1] = path[step] @ props_t[0]
+    path_norms = norms(path)
+    for start in range(0, n_traj, _BATCH):
+        n_batch = min(_BATCH, n_traj - start)
+        thresholds = rng.random((n_batch, _MAX_TRACK + 2))
+        jumps = np.zeros(n_batch, dtype=np.int64)
+        # the first count falls in the first step whose end norm is below
+        # the first threshold
+        crossed = path_norms[1:, None] < thresholds[:, 0]
+        first = np.argmax(crossed, axis=0)
+        counted = np.nonzero(crossed.any(axis=0))[0]
+        phi = np.empty((n_batch, d_c))
+        jump_in_step(counted, path[first[counted]])
+        for step in range(1, _BASE_STEPS):
+            idx = counted[(first[counted] < step) & (jumps[counted] <= _MAX_TRACK)]
+            prev = phi[idx]
+            phi[idx] = stepped = prev @ props_t[0]
+            crossed_now = norms(stepped) < thresholds[idx, jumps[idx]]
+            if np.any(crossed_now):
+                jump_in_step(idx[crossed_now], prev[crossed_now])
+        hist += np.bincount(np.minimum(jumps, _MAX_TRACK + 1), minlength=_MAX_TRACK + 2)
+    return hist
+
+
 def mc_count_histogram(
     state0: TwoModeState,
     params: ModelParams,
@@ -306,133 +320,54 @@ def mc_count_histogram(
 ) -> np.ndarray:
     """Histogram of counted photons over `n_samples` jump trajectories.
 
-    Each trajectory carries the monitor factor of every populated total-N
-    sector (the exchange part of the no-count generator is norm-preserving
-    and cannot influence jump statistics, so it is not simulated).  Waiting
-    times are found by threshold crossing of the squared norm, located by
-    dyadic bisection to t / _BASE_STEPS / 2^_DEPTH and realigned to the step
-    grid; the interval propagators are the real expm(W_N dt), their
-    subnormal entries set to 0 (below the rounding of any norm, and slow).
+    N is conserved and the sectors are orthogonal, so a count record has the
+    law sum_N P_N p(record | N).  One ``np.random.default_rng(seed)`` splits
+    the samples over the populated sectors by a multinomial draw with
+    probabilities P_N, so each bin is binomial as if every trajectory drew
+    its own N.  Then, in increasing N, each sector's trajectories carry its
+    monitor factor alone at its own cutoff d_c(N) = monitor_dim(params, N),
+    and each takes one row of _MAX_TRACK + 2 uniform thresholds from the
+    same stream, entry k the threshold of its (k+1)-th count.  The exchange
+    part of the generator is norm-preserving and is not simulated.
 
-    A jump lands at the last finest grid point before its threshold
-    crossing, early by less than delta = t / _BASE_STEPS / 2^_DEPTH
-    (1.5e-11 t), so the bias of P(k) is of order (k + 1) delta gamma (d_c - 1),
-    d_c - 1 bounding the monitor photon number: about 1e-7 on the
-    criterion-3 gate (t = 2, gamma = 1, d_c = 58), whose 3 sigma is 2.5e-3.
+    Waiting times are found by threshold crossing of the squared norm,
+    located by dyadic bisection to delta = t / _BASE_STEPS / 2^_DEPTH
+    (1.5e-11 t) and realigned to the step grid; the propagators are the real
+    expm(W_N dt), subnormal entries set to 0 (below the rounding of any
+    norm, and slow).  A jump lands at the last finest grid point before its
+    crossing, early by less than delta, so the bias of P(k | N) is of order
+    (k + 1) delta gamma (d_c(N) - 1), d_c(N) - 1 bounding the monitor photon
+    number: about 1e-7 on the criterion-3 gate (t = 2, gamma = 1,
+    d_c(4) = 58), whose 3 sigma is 2.5e-3.
 
-    Until its first count every trajectory carries the same vector, so the
-    no-count path at the step boundaries and its norms are computed once
-    per call; a trajectory's first count falls in the first step whose end
-    norm is below its threshold.  Every count inside a step, first or later,
-    is located by one batched routine (``jump_in_step``), whose walk to the
-    step end after a count, largest chunk first, is exact in time; another
-    grouping of the same propagator products can round a norm differently.
+    Until its first count every trajectory of a sector carries the same
+    vector, so the sector's no-count path at the step boundaries is computed
+    once; a first count falls in the first step whose end norm is below the
+    threshold.  Every count inside a step is located by one batched routine
+    (``jump_in_step``), whose walk to the step end after a count, largest
+    chunk first, is exact in time; another grouping of the same propagator
+    products can round a norm differently.  In the gauge U = diag((-i)^p)
+    the monitor factor is real and a count is -i sqrt(gamma) c; the jumped
+    vector is renormalized, so that factor changes no norm and is dropped.
 
-    Trajectories are carried in the gauge of U = diag((-i)^p), where the
-    monitor factors stay real.  There a count is -i sqrt(gamma) c; the -i is
-    one global phase shared by every sector and the jumped state is
-    renormalized, so it is dropped: it changes no norm, hence no waiting
-    time and no count.
-
-    Trajectory j draws its thresholds from the dedicated substream
-    ``default_rng([seed, j])`` (j < n_samples <= 2^32); the streams of a
-    batch are seeded and drawn in bulk (``_streams``, ``_draw``), bit for
-    bit as numpy draws them.  The histogram is an integer sum, so the
-    result is reproducible for a fixed seed independent of ``_BATCH`` (up to
-    a threshold within rounding of a norm: BLAS may round a row differently
-    in a batch of another size).
-    Counts beyond ``_MAX_TRACK`` land in the final overflow bin.  Truncated
-    input states are renormalized, so estimates refer to the retained
-    support (bias of order trunc_weight).
+    The thresholds come from one stream in row-major order, so a
+    trajectory's row, and the integer histogram, do not depend on ``_BATCH``
+    (up to a threshold within rounding of a norm: BLAS may round a row
+    differently in a batch of another size).  Counts beyond ``_MAX_TRACK``
+    land in the final overflow bin.  Truncated input states are
+    renormalized, so estimates refer to the retained support (bias of order
+    trunc_weight).
     """
     _check_time(t, positive=True)
     _check_int("n_samples", n_samples, 1, 2**32)
     _check_int("seed", seed, 0)
-    sectors, weights, d_c = _sector_setup(state0, params)
-    amps = np.sqrt(weights[sectors] / np.sum(weights))
-    n_sectors = len(sectors)
-    # transposed propagators per level and sector, so batches advance by
-    # stacked row-major matmul (BLAS) instead of einsum
-    props_t = np.empty((_DEPTH + 1, n_sectors, d_c, d_c))
-    taus = t / _BASE_STEPS / 2.0 ** np.arange(_DEPTH + 1)
-    for si, n_tot in enumerate(sectors):
-        gen = _monitor_generator(params.chi, params.gamma, int(n_tot), d_c)
-        props_t[:, si] = expm(taus[:, None, None] * gen).transpose(0, 2, 1)
-    props_t[np.abs(props_t) < np.finfo(float).tiny] = 0.0
-    c_t = annihilation(d_c).T.copy()
-    sqrt_gamma = math.sqrt(params.gamma)
+    sectors, weights, _ = _sector_setup(state0, params)
+    rng = np.random.default_rng(seed)
+    split = rng.multinomial(n_samples, weights[sectors] / np.sum(weights[sectors]))
     hist = np.zeros(_MAX_TRACK + 2, dtype=np.int64)
-
-    def advance(phi: np.ndarray, level: int) -> np.ndarray:
-        # phi: (n_sectors, batch, d_c); stacked row-vector times E_s^T
-        return np.matmul(phi, props_t[level])
-
-    def norms(phi: np.ndarray) -> np.ndarray:
-        return np.sum(phi * phi, axis=(0, -1))
-
-    def do_jump(phi: np.ndarray) -> np.ndarray:
-        out = sqrt_gamma * np.matmul(phi, c_t)
-        nrm = np.sqrt(np.sum(out * out, axis=(0, -1)))
-        return out / np.maximum(nrm, 1e-300)[..., None]
-
-    def jump_in_step(low: np.ndarray, cur: np.ndarray) -> None:
-        """Trajectories ``low`` cross their threshold inside the base step
-        that starts at ``cur``; leave them at the end of the step.
-
-        ``room``, the part of the step still ahead, counts finest chunks of
-        t / _BASE_STEPS / 2^_DEPTH.  Each round bisects to the last finest
-        grid point whose norm is at or above the threshold (taking only
-        chunks that end before the step does), jumps there, draws the next
-        threshold, and walks the rest of the step largest chunk first;
-        trajectories whose step-end norm is below the new threshold go round
-        again from just after their jump.  ``cur`` is overwritten."""
-        room = np.full(low.size, 1 << _DEPTH, dtype=np.int64)
-        while low.size:
-            for level in range(1, _DEPTH + 1):
-                chunk = 1 << (_DEPTH - level)
-                cand = advance(cur, level)
-                ok = (chunk < room) & (norms(cand) >= u[low])
-                cur[:, ok, :] = cand[:, ok, :]
-                room[ok] -= chunk
-            cur = do_jump(cur)
-            jumps[low] += 1
-            u[low] = _draw(streams, low)
-            after = cur.copy()
-            for level in range(_DEPTH + 1):
-                take = (room & (1 << (_DEPTH - level))) != 0
-                if np.any(take):
-                    cur[:, take, :] = advance(cur[:, take, :], level)
-            phi[:, low, :] = cur
-            again = (norms(cur) < u[low]) & (jumps[low] <= _MAX_TRACK)
-            low, cur, room = low[again], after[:, again, :], room[again]
-
-    # every trajectory carries the same vector until its first count: the
-    # no-count path at the step boundaries, path[:, s] at time s t / _BASE_STEPS
-    path = np.zeros((n_sectors, _BASE_STEPS + 1, d_c))
-    path[:, 0, 0] = amps
-    for step in range(_BASE_STEPS):
-        path[:, step + 1 : step + 2] = advance(path[:, step : step + 1], 0)
-    path_norms = norms(path)
-    for start in range(0, n_samples, _BATCH):
-        n_batch = min(_BATCH, n_samples - start)
-        streams = _streams(seed, start, n_batch)
-        u = _draw(streams, np.arange(n_batch))
-        jumps = np.zeros(n_batch, dtype=np.int64)
-        # the first count falls in the first step whose end norm is below u
-        crossed = path_norms[1:, None] < u
-        first = np.argmax(crossed, axis=0)
-        counted = np.nonzero(crossed.any(axis=0))[0]
-        phi = np.empty((n_sectors, n_batch, d_c))
-        jump_in_step(counted, path[:, first[counted]])
-        for step in range(1, _BASE_STEPS):
-            idx = counted[(first[counted] < step) & (jumps[counted] <= _MAX_TRACK)]
-            prev = phi[:, idx, :]
-            phi[:, idx, :] = stepped = advance(prev, 0)
-            crossed_now = norms(stepped) < u[idx]
-            if np.any(crossed_now):
-                jump_in_step(idx[crossed_now], prev[:, crossed_now, :])
-        clipped = np.minimum(jumps, _MAX_TRACK + 1)
-        hist += np.bincount(clipped, minlength=_MAX_TRACK + 2)
+    for n_tot, n_traj in zip(sectors, split):
+        if n_traj:
+            hist += _mc_sector(params, int(n_tot), t, int(n_traj), rng)
     return hist
 
 

@@ -219,11 +219,13 @@ def infer_total_mean_photons(k_mean: float, excess_var: float, chi: float, t: fl
 
     The right-hand side is time-independent.  A negative result is returned
     but flagged with ``NonPhysicalInferenceWarning``; a vanishing denominator
-    raises ``DegenerateEstimatorError``.
+    raises ``DegenerateEstimatorError``, non-finite moments a ValueError.
     """
-    ct2 = (chi * t) ** 2
+    ct2 = _pm_u(chi, t)
     if ct2 <= 0:
         raise ValueError("chi * t must be nonzero")
+    if not (math.isfinite(k_mean) and math.isfinite(excess_var)):
+        raise ValueError(f"k_mean and excess_var must be finite, got {k_mean!r}, {excess_var!r}")
     scaled_mean = k_mean / ct2
     denom = 4.0 * scaled_mean - 1.0
     if abs(denom) < 1e-12 * max(1.0, abs(4.0 * scaled_mean)):
@@ -245,9 +247,10 @@ def coherent_count_moments(f: float, chi: float, t: float) -> tuple[float, float
     """Closed-form (k_mean, excess_var) for a coherent product with total
     intensity F = |alpha|^2 + |beta|^2: k_mean = (chi t)^2 F(F+1) and
     excess_var = (chi t)^4 (4F^3 + 6F^2 + F)."""
-    k_mean = (chi * t) ** 2 * f * (f + 1.0)
-    excess = (chi * t) ** 4 * (4.0 * f**3 + 6.0 * f**2 + f)
-    return k_mean, excess
+    if not (math.isfinite(f) and f >= 0):
+        raise ValueError(f"f must be finite and >= 0, got {f!r}")
+    ct2 = _pm_u(chi, t)
+    return ct2 * f * (f + 1.0), ct2**2 * (4.0 * f**3 + 6.0 * f**2 + f)
 
 
 def sample_pm_counts(

@@ -250,3 +250,46 @@ def no_count_evolution_ode(
     if not sol.success:
         raise ConvergenceError(f"ODE integration failed: {sol.message}")
     return ThreeModeState(sol.y[:, -1].reshape(d_a, d_b, d_c))
+
+
+def per_trajectory_histogram(state0: TwoModeState, params: ModelParams, t: float, n_samples: int, seed: int):
+    """The Monte Carlo count histogram one trajectory at a time, in complex
+    arithmetic with M_N = -i chi N (c + c†) - (gamma/2) c†c and no base-step
+    grid, from the same random numbers as `oracle.mc_count_histogram` (a
+    multinomial sector split, then one row of thresholds per trajectory).
+    A count lands at the last point of the grid t / 2^36 whose norm is at or
+    above the threshold, as in the library; both can differ only where a
+    threshold lies within rounding of a norm."""
+    from photoent.oracle import _MAX_TRACK
+
+    weights = number_weights(state0)
+    sectors = np.nonzero(weights / np.sum(weights) > 1e-300)[0]
+    rng = np.random.default_rng(seed)
+    split = rng.multinomial(n_samples, weights[sectors] / np.sum(weights[sectors]))
+    bits, hist = 36, np.zeros(_MAX_TRACK + 2, dtype=np.int64)
+    end = 1 << bits
+    for n_tot, n_traj in zip(sectors, split):
+        if not n_traj:
+            continue
+        d = monitor_dim(params, int(n_tot))
+        c = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+        gen = -1j * params.chi * n_tot * (c + c.T) - params.gamma / 2 * (c.T @ c)
+        powers = [expm(gen * t * 2.0 ** (level - bits)) for level in range(bits + 1)]
+        for row in rng.random((n_traj, _MAX_TRACK + 2)):
+            pos, phi, jumps = 0, np.eye(d, 1, dtype=complex)[:, 0], 0
+            while jumps <= _MAX_TRACK:
+                vec = phi
+                for level in range(bits, -1, -1):
+                    if (end - pos) >> level & 1:
+                        vec = powers[level] @ vec
+                if np.vdot(vec, vec).real >= row[jumps]:
+                    break
+                vec = phi
+                for level in range(bits - 1, -1, -1):
+                    cand = powers[level] @ vec
+                    if pos + (1 << level) < end and np.vdot(cand, cand).real >= row[jumps]:
+                        pos, vec = pos + (1 << level), cand
+                vec = c @ vec
+                phi, jumps = vec / np.linalg.norm(vec), jumps + 1
+            hist[min(jumps, _MAX_TRACK + 1)] += 1
+    return hist

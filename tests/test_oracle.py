@@ -39,6 +39,7 @@ from crosschecks import (
     jump,
     no_count_evolution,
     no_count_evolution_ode,
+    per_trajectory_histogram,
     trace_monitor,
 )
 
@@ -237,36 +238,27 @@ LOW_COUNT_STATE = make_superposition([(1, 0, 1), (0, 2, 1), (1, 1, 0.5 + 0.3j), 
 LOW_COUNT_PARAMS = ModelParams(lam=0.25, chi=0.325, gamma=1.0)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 + 5, 2**70 + 3])
-def test_threshold_streams_equal_numpy(seed):
-    # the bulk streams against one default_rng([seed, j]) per trajectory,
-    # three draws each, in the first batch and in one starting at _BATCH
-    for start, n in ((0, 5000), (oracle._BATCH, 300)):
-        streams = oracle._streams(seed, start, n)
-        bulk = np.stack([oracle._draw(streams, np.arange(n)) for _ in range(3)], axis=1)
-        rngs = [np.random.default_rng([seed, start + j]) for j in range(n)]
-        ref = np.array([[r.random() for _ in range(3)] for r in rngs])
-        assert np.array_equal(bulk, ref), (seed, start)
-
-
-def test_threshold_streams_draw_for_a_subset():
-    # a draw advances only the trajectories it names
-    streams = oracle._streams(42, 0, 100)
-    oracle._draw(streams, np.arange(100))
-    some = np.array([3, 7, 50])
-    assert np.array_equal(oracle._draw(streams, some), [np.random.default_rng([42, j]).random(2)[1] for j in some])
-    assert oracle._draw(streams, np.array([4]))[0] == np.random.default_rng([42, 4]).random(2)[1]
-    assert oracle._draw(streams, np.array([3]))[0] == np.random.default_rng([42, 3]).random(3)[2]
-
-
 class TestMonteCarlo:
     def test_seed_reproducibility(self):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
         h1 = mc_count_histogram(s, P, 1.5, 2000, seed=9)
         h2 = mc_count_histogram(s, P, 1.5, 2000, seed=9)
         assert np.array_equal(h1, h2)
-        # exact counts of a complex-arithmetic implementation of the sampler
-        assert h1[:7].tolist() == [1325, 518, 126, 24, 6, 1, 0] and h1.sum() == 2000
+        # exact counts of `per_trajectory_histogram` too
+        assert h1[:7].tolist() == [1370, 483, 118, 22, 4, 2, 1] and h1.sum() == 2000
+
+    @pytest.mark.parametrize(
+        ("state", "params", "t", "n", "seed"),
+        [
+            (make_superposition([(1, 0, 1), (0, 2, 1)]), P, 1.5, 2000, 9),
+            (make_superposition([(1, 0, 1), (2, 1, 1)]), ModelParams(lam=0.3, chi=1.0, gamma=1.0), 6.0, 20, 5),
+            (make_superposition([(0, 0, 1), (1, 1, 1)]), P, 2.0, 2000, 17),
+        ],
+        ids=["two_sectors", "overflow", "vacuum"],
+    )
+    def test_matches_the_per_trajectory_sampler(self, state, params, t, n, seed):
+        hist = mc_count_histogram(state, params, t, n, seed)
+        assert np.array_equal(hist, per_trajectory_histogram(state, params, t, n, seed))
 
     def test_batch_size_invariance(self, monkeypatch):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
@@ -276,10 +268,10 @@ class TestMonteCarlo:
         assert np.array_equal(h1, h2)
 
     def test_low_count_item_is_pinned(self):
-        # most trajectories never count; exact counts of the sampler that
-        # stepped every trajectory through every base step
+        # most trajectories never count; exact counts of
+        # `per_trajectory_histogram` too
         hist = mc_count_histogram(LOW_COUNT_STATE, LOW_COUNT_PARAMS, 0.9, 2000, seed=123)
-        assert hist[:3].tolist() == [1750, 228, 22] and hist.sum() == 2000
+        assert hist[:3].tolist() == [1773, 206, 21] and hist.sum() == 2000
 
     def test_no_trajectory_counts_at_short_times(self):
         hist = mc_count_histogram(LOW_COUNT_STATE, LOW_COUNT_PARAMS, 0.05, 2000, seed=123)
@@ -295,7 +287,8 @@ class TestMonteCarlo:
         s = make_superposition([(1, 0, 1), (2, 1, 1)])
         hist = mc_count_histogram(s, ModelParams(lam=0.3, chi=1.0, gamma=1.0), 6.0, 20, seed=5)
         counted = {k: int(n) for k, n in enumerate(hist) if n}
-        assert counted == {9: 2, 10: 2, 12: 1, 13: 1, 15: 1, oracle._MAX_TRACK + 1: 13}
+        expected = {5: 1, 7: 1, 8: 1, 10: 4, 12: 1, 14: 1, 16: 2, 20: 1, oracle._MAX_TRACK + 1: 8}
+        assert counted == expected
         assert hist.sum() == 20
 
     def test_two_seeds_agree_within_six_sigma(self):
@@ -312,13 +305,23 @@ class TestMonteCarlo:
         t = 2.0
         hist = mc_count_histogram(s, P, t, 20000, seed=7)
         n = hist.sum()
-        # exact counts of a complex-arithmetic implementation of the sampler
-        assert hist[:9].tolist() == [9749, 5859, 2747, 1166, 340, 108, 26, 5, 0] and n == 20000
+        # exact counts of `per_trajectory_histogram` too
+        assert hist[:9].tolist() == [9745, 5912, 2761, 1068, 390, 97, 21, 6, 0] and n == 20000
         for k in range(6):
             p_cf = count_probability(s, P, t, k)
             est = hist[k] / n
             se = math.sqrt(max(est * (1 - est), 1e-12) / n)
             assert abs(est - p_cf) <= 3.0 * se
+
+    def test_vacuum_sector_within_four_sigma(self):
+        # N = 0 never counts (zero jump rate, norms exactly 1), next to N = 2
+        s = make_superposition([(0, 0, 1), (1, 1, 1)])
+        n = 20000
+        hist = mc_count_histogram(s, P, 2.0, n, seed=17)
+        for k in range(5):
+            p_cf = count_probability(s, P, 2.0, k)
+            assert abs(hist[k] / n - p_cf) <= 4.0 * math.sqrt(p_cf * (1.0 - p_cf) / n), k
+        assert hist.sum() == n
 
     def test_many_counts_per_base_step_match_the_closed_form(self):
         # |2, 0> at chi = gamma = 1 counts about 24 photons by gamma t = 4,

@@ -236,3 +236,33 @@ def test_bad_chi_rejected(call, chi):
     # ModelParams rejects these; the readout functions take a bare chi
     with pytest.raises(ValueError, match="chi must be finite and > 0"):
         call(make_superposition([(1, 0, 1.0), (1, 1, 1.0)]), chi)
+
+
+@pytest.mark.parametrize(
+    ("chi", "t", "match"),
+    [(chi, 1.0, "chi must be finite and > 0") for chi in (math.nan, math.inf, 0.0, -0.5)]
+    + [(1.0, t, "t must be finite and >= 0") for t in (math.nan, math.inf, -1.0)],
+)
+@pytest.mark.parametrize(
+    "call",
+    [lambda chi, t: infer_total_mean_photons(1.0, 1.0, chi, t), lambda chi, t: coherent_count_moments(2.0, chi, t)],
+    ids=["infer", "moments"],
+)
+def test_coherent_product_estimator_checks_chi_and_t(call, chi, t, match):
+    # before the check, chi = inf gave F = -0.0 and chi = -1 a finite pair
+    with pytest.raises(ValueError, match=match):
+        call(chi, t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coherent_product_estimator_checks_its_moments(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        infer_total_mean_photons(bad, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        infer_total_mean_photons(1.0, bad, 1.0, 1.0)
+    with pytest.raises(ValueError, match="f must be finite"):
+        coherent_count_moments(bad, 1.0, 1.0)
+    with pytest.raises(ValueError, match="f must be finite and >= 0"):
+        coherent_count_moments(-1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="chi \\* t must be nonzero"):
+        infer_total_mean_photons(1.0, 1.0, 1.0, 0.0)
