@@ -253,8 +253,9 @@ class TestMonteCarlo:
             (make_superposition([(1, 0, 1), (0, 2, 1)]), P, 1.5, 2000, 9),
             (make_superposition([(1, 0, 1), (2, 1, 1)]), ModelParams(lam=0.3, chi=1.0, gamma=1.0), 6.0, 20, 5),
             (make_superposition([(0, 0, 1), (1, 1, 1)]), P, 2.0, 2000, 17),
+            (LOW_COUNT_STATE, LOW_COUNT_PARAMS, 0.9, 2000, 123),
         ],
-        ids=["two_sectors", "overflow", "vacuum"],
+        ids=["two_sectors", "overflow", "vacuum", "low_count"],
     )
     def test_matches_the_per_trajectory_sampler(self, state, params, t, n, seed):
         hist = mc_count_histogram(state, params, t, n, seed)
