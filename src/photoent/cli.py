@@ -419,16 +419,9 @@ def cmd_probe(cfg: dict, out: Path, args) -> int:
     )
     cfg_hash = config_sha256(cfg)
     h = report.h_samples
-    h_rows = []
-    for i, x in enumerate(h.x):
-        h_rows.append(
-            [
-                float(x),
-                float(h.series[i]),
-                float(h.exact[i]) if h.exact is not None else float("nan"),
-                int(bool(h.trusted[i])),
-            ]
-        )
+    exact = h.exact if h.exact is not None else np.full(len(h.x), np.nan)
+    samples = zip(h.x, h.series, exact, h.trusted)
+    h_rows = [[float(x), float(s), float(e), int(bool(ok))] for x, s, e, ok in samples]
     write_csv(out / "h_function.csv", ["x", "h_series", "h_exact", "trusted"], h_rows, cfg_hash)
     c_rows = [[j, float(v)] for j, v in enumerate(report.fourier.values)]
     write_csv(out / "fourier.csv", ["j", "c_j"], c_rows, cfg_hash)

@@ -22,7 +22,6 @@ from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 DEFAULT_EPS_TRUNC = 1e-8
 DEFAULT_MAX_DIM = 1024
@@ -310,10 +309,8 @@ def _bs_block_eig(d_a: int, d_b: int, total: int):
     m_lo = max(0, total - (d_b - 1))
     m_hi = min(d_a - 1, total)
     ms = np.arange(m_lo, m_hi + 1)
-    if len(ms) == 1:
-        return ms, np.zeros(1), np.ones((1, 1))
     off = np.sqrt((ms[:-1] + 1.0) * (total - ms[:-1]))
-    w, v = eigh_tridiagonal(np.zeros(len(ms)), off)
+    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     return ms, w, v
 
 

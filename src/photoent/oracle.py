@@ -42,9 +42,10 @@ so that P(k) = sum_N P_N G(N, N) and the conditional state is the
 `DephasedState` of psi~ with sector matrix G(N, N') / P(k): the closed form's
 format, with its Gram matrix in place of exp(-mu (N - N')^2 / 2).  No
 (d_a d_b)^2 array is built here.  Every propagator is computed where it is
-used; nothing is cached.  The tests (`tests/crosschecks.py`) push the full
-A (x) B (x) C tensor through the same records and integrate the full
-generator by adaptive Runge-Kutta to cross-check this.
+used; nothing is cached, and scipy's expm is imported only there.  The
+tests (`tests/crosschecks.py`) push the full A (x) B (x) C tensor through
+the same records and integrate the full generator by adaptive Runge-Kutta
+to cross-check this.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fock import (
     ConvergenceError,
@@ -128,6 +128,7 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
     (k = 1) or n(n+1)/2 + n (k = 2) propagators per sector, at most 2n of
     them held at once.
     """
+    from scipy.linalg import expm  # loaded when an oracle runs, not at import
     x, w = np.polynomial.legendre.leggauss(n_nodes)
 
     def one_count(gen, jump_op, span):
@@ -235,6 +236,7 @@ def nt_oracle_point(state0: TwoModeState, params: ModelParams, t: float, k: int)
 def _mc_sector(params: ModelParams, n_tot: int, t: float, n_traj: int, rng: np.random.Generator) -> np.ndarray:
     """Count histogram of ``n_traj`` trajectories of sector ``n_tot`` at its
     cutoff monitor_dim(params, n_tot), the monitor starting in the vacuum."""
+    from scipy.linalg import expm
     d_c = monitor_dim(params, n_tot)
     # transposed propagators per level: batches advance by row-vector matmul
     taus = t / _BASE_STEPS / 2.0 ** np.arange(_DEPTH + 1)

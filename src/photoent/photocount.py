@@ -231,8 +231,11 @@ def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> flo
     u = _bisect(rising, fenced[:-2][top], fenced[2:][top])
     peaks = mixture_pmf(weights, np.multiply.outer(u, n_sq), k)
     u_star = np.min(u[peaks >= (1.0 - 1e-13) * peaks.max()])
-    target = u_star * params.gamma**2 / (4.0 * params.chi**2)
-    return float(_bisect(lambda x: _g_core(float(x)) < target, 0.0, target + 3.0)) / params.gamma
+    target = float(u_star * params.gamma**2 / (4.0 * params.chi**2))
+    lo, hi = 0.0, target + 3.0  # the steps of `_bisect`, in plain floats
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        lo, hi = (mid, hi) if _g_core(mid) < target else (lo, mid)
+    return lo / params.gamma
 
 
 def count_mean_variance(state0: TwoModeState, params: ModelParams, t: float) -> tuple[float, float]:

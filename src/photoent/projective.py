@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .fock import (
     ImpossibleOutcomeError,
@@ -57,16 +56,26 @@ class PmOutcome:
     post_state: TwoModeState
 
 
+_log_factorials = np.zeros(0)  # math.lgamma(k + 1), k = 0, 1, ..., grown by rows
+
+
 def _poisson_pmf(k, means):
-    """Poisson(k; mean), broadcast over k and the means (the expression
-    scipy.stats.poisson.pmf evaluates; mean 0 gives 1 at k = 0, else 0)."""
-    return np.exp(xlogy(k, means) - gammaln(k + 1) - means)
+    """Poisson(k; mean) = exp(k log mean - log k! - mean), broadcast over
+    k >= 0 and the means; mean 0 gives 1 at k = 0, else 0.  log k! is
+    math.lgamma, from a table when k is an array (a row)."""
+    global _log_factorials
+    if isinstance(k, np.ndarray) and np.max(k) >= len(_log_factorials):
+        _log_factorials = np.array([math.lgamma(j + 1.0) for j in range(2 * int(np.max(k)) + 1)])
+    log_k_factorial = _log_factorials[k] if isinstance(k, np.ndarray) else math.lgamma(k + 1.0)
+    positive = means > 0
+    log_pmf = k * np.log(np.where(positive, means, 1.0)) - log_k_factorial - means
+    return np.exp(log_pmf) * (positive | (k == 0))
 
 
 def mixture_pmf(weights: np.ndarray, means: np.ndarray, k: int) -> float:
     """P(k) of a mixture of Poisson distributions, the components on the last
     axis of ``means`` (a 2-d ``means`` gives one mixture per row)."""
-    return np.sum(weights * _poisson_pmf(k, means), axis=-1)
+    return np.add.reduce(weights * _poisson_pmf(k, means), axis=-1)
 
 
 def mixture_pmf_row(weights: np.ndarray, means: np.ndarray, k_max: int) -> np.ndarray:
@@ -78,7 +87,10 @@ def mixture_pmf_row(weights: np.ndarray, means: np.ndarray, k_max: int) -> np.nd
 def k_cutoff(mean_max: float, tail: float = TAIL_MASS) -> int:
     """Count cutoff K with Poisson tail mass beyond K below ``tail`` for
     every mixture component (the largest mean dominates the tail).  K - 2 is
-    the inverse CDF at 1 - tail, computed as scipy.stats.poisson.isf does."""
+    the inverse CDF at 1 - tail, computed as scipy.stats.poisson.isf does.
+    No library path calls it; it imports scipy when it runs."""
+    from scipy.special import pdtr, pdtrik
+
     if mean_max <= 0:
         return 1
     q = 1.0 - tail
@@ -87,15 +99,34 @@ def k_cutoff(mean_max: float, tail: float = TAIL_MASS) -> int:
     return (below if pdtr(below, mean_max) >= q else v) + 2
 
 
+def _mixture_sf(k: int, weights: np.ndarray, means: np.ndarray, floor: float) -> float:
+    """sum_N P_N P(Poisson(mean_N) > k), each component's pmf summed away
+    from the cut, where the terms fall at least geometrically (upward from
+    k + 1 if mean <= k, else one minus the sum downward from k); within
+    10 sqrt(k + 1) + 40 terms they reach exp(-50) of the first, even at
+    mean = k.  A component the geometric bound puts below ``floor`` is left
+    out; one whose downward sum is below 1e-17 counts as 1."""
+    above = means > k
+    ratio = np.where(above, k / np.where(above, means, 1.0), means / (k + 2.0))
+    lead = _poisson_pmf(k, means) * np.where(above, 1.0, means / (k + 1.0))
+    whole = above & (lead < 1e-17 * (1.0 - ratio))
+    keep = np.flatnonzero(~whole & (weights * np.where(above, 1.0, lead / (1.0 - ratio)) > floor))
+    m, up, i = means[keep, None], ~above[keep], np.arange(int(10.0 * math.sqrt(k + 1.0)) + 40)
+    ratios = np.where(up[:, None], m / (k + 2.0 + i), np.maximum(k - i, 0) / m)
+    series = lead[keep] * (1.0 + np.cumprod(ratios, axis=1).sum(axis=1))
+    return np.sum(weights[whole]) + weights[keep] @ np.where(up, series, 1.0 - series)
+
+
 def mixture_cutoff(state0: TwoModeState, u: float, tail: float = TAIL_MASS) -> int:
-    """Smallest count cutoff K whose omitted mixture mass
-    sum_N P_N P(Poisson(u N^2) > K) is at most ``tail``, by bisection below
-    the bound `k_cutoff` of the largest representable N (never above it)."""
+    """Smallest count cutoff K whose omitted mixture mass (`_mixture_sf`) is
+    at most ``tail``, by bisection below Bernstein's bound for the largest
+    representable N: P(Poisson(M) >= M + s) <= exp(-s^2 / (2 (M + s / 3)))."""
     weights, means = sector_means(state0, u)
-    lo, hi = -1, k_cutoff(u * state0.n_max**2, tail)
+    log_tail, top = -math.log(tail), means[-1]
+    lo, hi = -1, math.ceil(top + log_tail / 3.0 + math.sqrt(log_tail**2 / 9.0 + 2.0 * log_tail * top)) + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if weights @ pdtrc(mid, means) <= tail:
+        if _mixture_sf(mid, weights, means, 1e-17 * tail) <= tail:
             hi = mid
         else:
             lo = mid
@@ -160,10 +191,12 @@ def postselect_pure(state0: TwoModeState, lam: float, t: float, k: int, u: float
 
 def _pm_u(chi: float, t: float) -> float:
     """Component scale u = (chi t)^2 of the projective readout, after
-    checking chi (finite, > 0) and t (finite, >= 0)."""
+    checking chi (finite, > 0), t (finite, >= 0) and that u is finite."""
     if not (math.isfinite(chi) and chi > 0):
         raise ValueError(f"chi must be finite and > 0, got {chi!r}")
     _check_time(t)
+    if not abs(chi * t) < 2.0**512:  # the square of 2^512 and up overflows
+        raise ValueError(f"(chi t)^2 must be finite, got chi={chi!r} and t={t!r}")
     return (chi * t) ** 2
 
 
@@ -197,14 +230,8 @@ def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int
 
 
 def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float, float]:
-    """Mean and variance of the projective count distribution.
-
-    The mean is ``(chi t)^2 <N^2>``; the variance satisfies
-    ``Var(k) - k_mean = (chi t)^4 Var(N^2)`` (Poisson mixture), which is
-    re-verified against direct summation in the test suite.  Note the
-    variance returned here is that of the full distribution, i.e. it
-    includes the Poisson shot-noise term ``k_mean``.
-    """
+    """`mixture_moments` at u = (chi t)^2: the mean (chi t)^2 <N^2> and the
+    full variance, Var(k) = k_mean + (chi t)^4 Var(N^2)."""
     return mixture_moments(state0, _pm_u(chi, t))
 
 
@@ -256,9 +283,6 @@ def coherent_count_moments(f: float, chi: float, t: float) -> tuple[float, float
 def sample_pm_counts(
     state0: TwoModeState, chi: float, t: float, n_samples: int, seed: int
 ) -> np.ndarray:
-    """Draw k-samples from the projective count distribution (seeded).
-
-    Sampling is exact for the truncated state: first the total photon number
-    N is drawn from its renormalized distribution, then k ~ Poisson((chi t N)^2).
-    """
+    """Seeded exact k-samples of the projective readout (`sample_mixture`
+    at u = (chi t)^2)."""
     return sample_mixture(state0, _pm_u(chi, t), n_samples, seed)

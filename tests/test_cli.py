@@ -449,16 +449,22 @@ def _package_env():
 
 
 def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    # no scipy module at all after importing the package and the CLI; an
+    # oracle loads scipy.linalg when it runs
     code = (
-        "import sys, photoent.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules))"
+        "import sys\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import photoent; print(scipy())\n"
+        "import photoent.cli; print(scipy())\n"
+        "from photoent.oracle import p_k_quadrature\n"
+        "p = p_k_quadrature(photoent.make_superposition([(1, 0, 1.0)]), photoent.ModelParams(0.0, 0.5, 1.0), 1.0, 1)\n"
+        "print(0.0 < p < 1.0, 'scipy.linalg' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]", "True True"]
 
 
 def _run_entry_point(command, env):

@@ -161,6 +161,20 @@ class TestBeamSplitter:
         expected = np.outer(col(a_t), col(b_t))
         assert np.linalg.norm(evolved.coeffs - expected) < 1e-9
 
+    def test_matches_expm_of_the_full_generator(self, rng):
+        # exp(-i theta (a^dag b + a b^dag)) on the whole truncated 6 x 7 space,
+        # where the truncated generator is block diagonal in N
+        from scipy.linalg import expm
+
+        d_a, d_b = 6, 7
+        a = np.kron(np.diag(np.sqrt(np.arange(1.0, d_a)), 1), np.eye(d_b))
+        b = np.kron(np.eye(d_a), np.diag(np.sqrt(np.arange(1.0, d_b)), 1))
+        for lam, t in ((0.3, 0.5), (1.0, math.pi / 3), (0.9, 2.7), (1.7, 4.1)):
+            s = random_state(rng, d_a, d_b)
+            expected = expm(-1j * lam * t * (a.T @ b + a @ b.T)) @ s.coeffs.ravel()
+            got = apply_beam_splitter(s, lam, t).coeffs.ravel()
+            assert np.max(np.abs(got - expected)) < 1e-13
+
     def test_total_number_distribution_preserved(self, rng):
         for _ in range(5):
             s = random_state(rng, 6, 5)

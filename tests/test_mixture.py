@@ -1,13 +1,16 @@
 """Property tests of the Poisson-mixture core shared by both readouts,
-against scipy.stats.poisson as the reference."""
+against scipy.stats.poisson and mpmath as the references."""
 
+import math
+
+import mpmath
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from photoent import TwoModeState, number_weights
-from photoent.projective import k_cutoff, mixture_cutoff, mixture_pmf, mixture_pmf_row
+from photoent.projective import _poisson_pmf, k_cutoff, mixture_cutoff, mixture_pmf, mixture_pmf_row
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -28,13 +31,40 @@ def mixtures(draw):
     return weights / np.sum(weights), means
 
 
-@PROPERTY
-@given(mixtures(), st.integers(min_value=0, max_value=300))
-def test_row_is_bitwise_the_scipy_mixture(mix, k_max):
-    weights, means = mix
-    ks = np.arange(k_max + 1)
-    expected = poisson.pmf(ks[:, None], means) @ weights
-    assert np.array_equal(mixture_pmf_row(weights, means, k_max), expected)
+def pmf_draws(rng, n):
+    """(k, mean) pairs over k = 0..2e5: means spread log-uniformly over
+    [1e-8, 1e5], and means within a few sqrt(k) of k, where the pmf is
+    largest; the exact zero mean is included."""
+    ks = np.floor(np.exp(rng.uniform(0.0, math.log(2e5), n))).astype(int) - 1
+    spread = 10.0 ** rng.uniform(-8.0, 5.0, n)
+    near = np.maximum(ks + rng.normal(0.0, 3.0, n) * np.sqrt(ks + 1.0), 1e-3)
+    means = np.where(rng.random(n) < 0.5, spread, near)
+    means[:20] = 0.0
+    return ks, means
+
+
+def test_pmf_is_accurate_against_mpmath():
+    """exp(k log m - log k! - m) is accurate to a few ulp of its exponent's
+    terms, the same bound scipy.stats.poisson.pmf meets.  (Its last bits
+    are not scipy's: math.lgamma and gammaln differ by an ulp for about
+    half of k <= 2e5.)"""
+    mpmath.mp.dps = 40
+    ks, means = pmf_draws(np.random.default_rng(7), 3000)
+    exact = np.array(
+        [float(mpmath.exp(k * mpmath.log(m) - mpmath.loggamma(k + 1) - m)) if m > 0 else float(k == 0)
+         for k, m in zip(ks.tolist(), means.tolist())]
+    )
+    scale = np.finfo(float).eps * (np.abs(ks * np.log(np.where(means > 0, means, 1.0)))
+                                   + np.array([math.lgamma(k + 1.0) for k in ks]) + means + 1.0)
+    rows = _poisson_pmf(ks, means)
+    scalars = np.array([mixture_pmf(np.ones(1), np.array([m]), k) for k, m in zip(ks.tolist(), means)])
+    assert np.array_equal(rows, scalars)
+    assert np.array_equal(rows[means == 0], (ks[means == 0] == 0).astype(float))
+    normal = exact > 1e-290  # relative errors of subnormal results say nothing
+    assert np.count_nonzero(normal) > 1500
+    for values in (rows, poisson.pmf(ks, means)):
+        rel = np.abs(values[normal] - exact[normal]) / exact[normal]
+        assert np.all(rel <= 4.0 * scale[normal])
 
 
 @PROPERTY

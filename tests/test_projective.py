@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,25 @@ def test_coherent_product_estimator_checks_chi_and_t(call, chi, t, match):
     # before the check, chi = inf gave F = -0.0 and chi = -1 a finite pair
     with pytest.raises(ValueError, match=match):
         call(chi, t)
+
+
+@pytest.mark.parametrize(("chi", "t"), [(1e200, 1.0), (1.0, 1e200), (1e155, 1e155)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, chi, t: pm_probability(s, chi, t, 1),
+        lambda s, chi, t: pm_count_cutoff(s, chi, t),
+        lambda s, chi, t: pm_postselect(s, 0.1, chi, t, 1),
+        lambda s, chi, t: infer_total_mean_photons(1.0, 1.0, chi, t),
+        lambda s, chi, t: coherent_count_moments(2.0, chi, t),
+    ],
+    ids=["probability", "count_cutoff", "postselect", "infer", "moments"],
+)
+def test_overflowing_chi_t_rejected(call, chi, t):
+    # finite chi and t whose (chi t)^2 overflows: 1e200 used to raise
+    # OverflowError, and 1e155 * 1e155 gave NaN with RuntimeWarnings only
+    with pytest.raises(ValueError, match=re.escape(f"(chi t)^2 must be finite, got chi={chi!r} and t={t!r}")):
+        call(make_superposition([(1, 0, 1.0), (1, 1, 1.0)]), chi, t)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
