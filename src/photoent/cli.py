@@ -247,8 +247,8 @@ def cmd_pm_dist(cfg: dict, out: Path, args) -> int:
     state = build_state(cfg)
     params = build_params(cfg)
     grid = gamma_t_grid(cfg)
-    t_max = float(np.max(grid)) / params.gamma
-    ks = k_list(cfg, pm_count_cutoff(state, params.chi, t_max))
+    explicit = cfg.get("grids", {}).get("k") is not None
+    ks = k_list(cfg, 0 if explicit else pm_count_cutoff(state, params.chi, float(np.max(grid)) / params.gamma))
     rows = []
     for gt in grid:
         row = pm_distribution_row(state, params.chi, gt / params.gamma, max(ks))

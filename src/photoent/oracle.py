@@ -8,13 +8,14 @@ The no-count evolution is the non-unitary semigroup generated by
 a count is the jump  rho -> gamma c rho c†, and the k-count operation is the
 nested time-ordered integral over jump times of no-count segments separated
 by jumps.  Probabilities and conditional densities for k <= 2 come from
-deterministic nested Gauss-Legendre quadrature over the jump-time simplex,
-higher k from Monte Carlo sampling of jump times from the exact
-waiting-time distribution (the norm decay of the no-count semigroup).  A
-trajectory draws its sector N first and carries that sector alone; the
-sampler computes each sector's no-count path once, reads each first count
-off its norms, and locates every later count by one batched bisection,
-all thresholds drawn from one ``default_rng(seed)``.
+deterministic nested Gauss-Legendre quadrature over the jump-time simplex
+(one level, checked by a null rule on its nodes), higher k from Monte Carlo
+sampling of jump times from the exact waiting-time distribution (the norm
+decay of the no-count semigroup).  A trajectory draws its sector N first
+and carries that sector alone; the sampler computes each sector's no-count
+path once, reads each first count off its norms, and locates every later
+count by one batched bisection, all thresholds drawn from one
+``default_rng(seed)``.
 
 Y commutes with the total AB photon number N = m + n, and within a sector
 of fixed N the exchange part and the monitor part act on different tensor
@@ -62,15 +63,17 @@ from .fock import (
     TwoModeState,
     _check_int,
     _check_time,
+    _totals,
     apply_beam_splitter,
     number_weights,
 )
 
 MAX_MONITOR_DIM = 400
-# the quadrature ladder stops when two levels agree to this (relative for
-# the probability, max element for the normalized density)
+# the quadrature's error bound, relative for the probability and max element
+# for the normalized density; a null-rule estimate, below _REL_TOL / _NULL_MARGIN
 _REL_TOL = 1e-6
-# Gauss-Legendre nodes per jump, doubled until two levels agree
+_NULL_MARGIN = 10.0
+# Gauss-Legendre nodes per jump, doubled until two levels agree; 16 tried first
 _NODE_LADDER = (8, 16, 32, 64)
 # Monte Carlo time grid: base steps of t / _BASE_STEPS, jump times located
 # by bisection to t / _BASE_STEPS / 2^_DEPTH; counts beyond _MAX_TRACK share
@@ -114,9 +117,10 @@ def _sector_setup(state0: TwoModeState, params: ModelParams):
     return sectors, weights, monitor_dim(params, int(sectors.max()))
 
 
-def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, n_nodes: int) -> np.ndarray:
+def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, n_nodes: int):
     """G(N, N') = sum_records w phi_N . phi_N' over the records of one
-    Gauss-Legendre level (k <= 2, n_nodes per jump), phi_N real.
+    Gauss-Legendre level (k <= 2, n_nodes per jump), phi_N real, and its
+    error estimate, the sum over jump dimensions of |null-rule Gram|.
 
     Sector N is propagated at its own cutoff monitor_dim(params, N), its
     rows zero-padded to d_c (exact).  The nodes are antisymmetric
@@ -164,43 +168,58 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
             phi = last[:, None] @ (jump_op @ second[..., None])
         phis.append(np.pad(phi.reshape(-1, d), ((0, 0), (0, d_c - d))))
     rows = np.stack(phis) * np.sqrt(weights.ravel())[:, None]
-    rows = rows.reshape(len(sectors), -1)
-    return rows @ rows.T
+    flat = rows.reshape(len(sectors), -1)
+    # null rule w P_{n-1}(x) |w| / |w P_{n-1}(x)| (Berntsen & Espelid 1991) per jump, as ratios to w
+    p_last = np.polynomial.legendre.legval(x, np.eye(n_nodes)[-1])
+    ratio = p_last * np.linalg.norm(w) / np.linalg.norm(w * p_last)
+    ratios = np.reshape(np.meshgrid(*[ratio] * k, indexing="ij"), (k, 1, weights.size, 1))
+    nulls = (rows * ratios).reshape(k * len(sectors), flat.shape[1]) @ flat.T
+    return flat @ flat.T, np.abs(nulls.reshape(k, len(sectors), len(sectors))).sum(axis=0)
 
 
 def _quadrature_level(setup, params: ModelParams, t: float, k: int, n_nodes: int, evolved: TwoModeState | None):
-    """P(k, t) from one Gauss-Legendre level and, given the exchange-evolved
-    input, the normalized conditional AB state: ``evolved`` weighted by the
-    Gram matrix over the probability."""
+    """P(k, t) from one Gauss-Legendre level, given the exchange-evolved
+    input the normalized conditional AB state (``evolved`` weighted by the
+    Gram matrix over the probability), and the Gram matrix's error estimate."""
     sectors, weights, d_c = setup
-    gram = _gram(params, sectors, d_c, t, k, n_nodes)
+    gram, null = _gram(params, sectors, d_c, t, k, n_nodes)
     prob = float(weights[sectors] @ np.diag(gram))
+    by_sector = np.zeros((2,) + (len(weights),) * 2)
+    by_sector[np.ix_([0, 1], sectors, sectors)] = gram, null
     if evolved is None:
-        return prob, None
+        return prob, None, by_sector[1]
     if prob <= 0:
         raise ConvergenceError(f"outcome k={k} has vanishing probability at t={t}")
-    by_sector = np.zeros((len(weights),) * 2)
-    by_sector[np.ix_(sectors, sectors)] = gram
-    return prob, DephasedState(evolved, by_sector / prob)
+    return prob, DephasedState(evolved, by_sector[0] / prob), by_sector[1]
 
 
 def _quadrature(
     state0: TwoModeState, params: ModelParams, t: float, k: int, want_density: bool
 ) -> tuple[float, DephasedState | None]:
-    """Double the node count until the probability and, if wanted, the
-    normalized density are stable to _REL_TOL."""
+    """The 16-node level if its null-rule error estimates, of the probability
+    (relative) and if wanted of the normalized density (max element), are
+    within _REL_TOL / _NULL_MARGIN; else the node ladder from 8 nodes."""
     _check_time(t)
     _check_int("k", k, 0, 2)
     setup = _sector_setup(state0, params)
-    evolved = apply_beam_splitter(state0, params.lam, t) if want_density else None
+    e = apply_beam_splitter(state0, params.lam, t) if want_density else None
+    if want_density:  # a_N = max_{m+n=N} |e_mn|
+        on_n = _totals(e.d_a, e.d_b)[..., None] == np.arange(e.n_max + 1)
+        a = np.max(np.abs(e.coeffs)[..., None] * on_n, axis=(0, 1))
+
+    def error(prob, d_prob, d_w):
+        """max(|d_prob| / prob, max a_N a_N' |d_w()|): the latter is exactly the largest element of d_w() e e†"""
+        rel = abs(d_prob) / max(abs(prob), 1e-300)
+        return rel if e is None else max(rel, float(np.max(np.outer(a, a) * np.abs(d_w()))))
+
+    first = prob, rho, null = _quadrature_level(setup, params, t, k, 1 if k == 0 else _NODE_LADDER[1], e)
+    d_prob = float(setup[1] @ np.diag(null))
+    if _NULL_MARGIN * error(prob, d_prob, lambda: (null + np.abs(rho.w) * d_prob) / prob) <= _REL_TOL:
+        return prob, rho
     prev = None
-    for n in (1,) if k == 0 else _NODE_LADDER:
-        prob, rho = _quadrature_level(setup, params, t, k, n, evolved)
-        if k == 0 or (
-            prev is not None
-            and abs(prob - prev[0]) <= _REL_TOL * max(abs(prob), 1e-300)
-            and (rho is None or np.max(np.abs(rho.rho - prev[1].rho)) <= _REL_TOL)
-        ):
+    for n in _NODE_LADDER:
+        prob, rho, _ = first if n == _NODE_LADDER[1] else _quadrature_level(setup, params, t, k, n, e)
+        if prev is not None and error(prob, prob - prev[0], lambda: rho.w - prev[1].w) <= _REL_TOL:
             return prob, rho
         prev = prob, rho
     raise ConvergenceError(
@@ -212,16 +231,17 @@ def _quadrature(
 def p_k_quadrature(state0: TwoModeState, params: ModelParams, t: float, k: int) -> float:
     """P(k, t) by deterministic nested quadrature over jump times, k <= 2.
 
-    The node count doubles until two successive levels agree to 1e-6
-    relative; failing that a ConvergenceError reports both estimates.
+    The 16-node level if its null-rule error estimate is within 1e-7, else
+    the node count doubles from 8 until two levels agree to 1e-6 relative;
+    failing that a ConvergenceError reports the last two estimates.
     """
     return _quadrature(state0, params, t, k, False)[0]
 
 
 def nt_oracle_point(state0: TwoModeState, params: ModelParams, t: float, k: int) -> tuple[float, DephasedState]:
     """Probability and normalized conditional AB state from one converged
-    quadrature ladder (k <= 2): the ladder stops when both the probability
-    (relative) and the density (max element) are stable to 1e-6.
+    quadrature level (k <= 2), chosen as in `p_k_quadrature` but with the
+    density's largest element held to the same bounds.
 
     The state is the exchange-evolved input weighted by the sector matrix
     G(N, N') / P(k), the form of the closed-form conditional state.  G is a
@@ -247,7 +267,7 @@ def _mc_sector(params: ModelParams, n_tot: int, t: float, n_traj: int, rng: np.r
     hist = np.zeros(_MAX_TRACK + 2, dtype=np.int64)
 
     def norms(phi: np.ndarray) -> np.ndarray:
-        return np.sum(phi * phi, axis=-1)
+        return np.add.reduce(phi * phi, axis=-1)
 
     def do_jump(phi: np.ndarray) -> np.ndarray:
         out = phi @ c_t
@@ -271,14 +291,15 @@ def _mc_sector(params: ModelParams, n_tot: int, t: float, n_traj: int, rng: np.r
                 chunk = 1 << (_DEPTH - level)
                 cand = cur @ props_t[level]
                 ok = (chunk < room) & (norms(cand) >= u)
-                cur[ok] = cand[ok]
-                room[ok] -= chunk
+                np.copyto(cur, cand, where=ok[:, None])
+                room -= chunk * ok
             cur = do_jump(cur)
             jumps[low] += 1
             after = cur.copy()
+            bits = int(np.bitwise_or.reduce(room))  # the levels some row needs
             for level in range(_DEPTH + 1):
-                take = (room & (1 << (_DEPTH - level))) != 0
-                if np.any(take):
+                if bits & (bit := 1 << (_DEPTH - level)):
+                    take = (room & bit) != 0
                     cur[take] = cur[take] @ props_t[level]
             phi[low] = cur
             again = (norms(cur) < thresholds[low, jumps[low]]) & (jumps[low] <= _MAX_TRACK)
@@ -302,13 +323,12 @@ def _mc_sector(params: ModelParams, n_tot: int, t: float, n_traj: int, rng: np.r
         counted = np.nonzero(crossed.any(axis=0))[0]
         phi = np.empty((n_batch, d_c))
         jump_in_step(counted, path[first[counted]])
-        for step in range(1, _BASE_STEPS):
+        for step in range(1 + first[counted].min(initial=_BASE_STEPS), _BASE_STEPS):  # none active before
             idx = counted[(first[counted] < step) & (jumps[counted] <= _MAX_TRACK)]
             prev = phi[idx]
             phi[idx] = stepped = prev @ props_t[0]
             crossed_now = norms(stepped) < thresholds[idx, jumps[idx]]
-            if np.any(crossed_now):
-                jump_in_step(idx[crossed_now], prev[crossed_now])
+            jump_in_step(idx[crossed_now], prev[crossed_now])
         hist += np.bincount(np.minimum(jumps, _MAX_TRACK + 1), minlength=_MAX_TRACK + 2)
     return hist
 

@@ -189,14 +189,14 @@ def postselect_pure(state0: TwoModeState, lam: float, t: float, k: int, u: float
     return PmOutcome(k=k, t=t, probability=probability, post_state=post)
 
 
-def _pm_u(chi: float, t: float) -> float:
+def _pm_u(chi: float, t: float, power: int = 1) -> float:
     """Component scale u = (chi t)^2 of the projective readout, after
-    checking chi (finite, > 0), t (finite, >= 0) and that u is finite."""
+    checking chi (finite, > 0), t (finite, >= 0) and that u^power is finite."""
     if not (math.isfinite(chi) and chi > 0):
         raise ValueError(f"chi must be finite and > 0, got {chi!r}")
     _check_time(t)
-    if not abs(chi * t) < 2.0**512:  # the square of 2^512 and up overflows
-        raise ValueError(f"(chi t)^2 must be finite, got chi={chi!r} and t={t!r}")
+    if not abs(chi * t) < 2.0 ** (512 // power):  # power 2 for the moments, which square u
+        raise ValueError(f"(chi t)^{2 * power} must be finite, got chi={chi!r} and t={t!r}")
     return (chi * t) ** 2
 
 
@@ -232,7 +232,7 @@ def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int
 def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float, float]:
     """`mixture_moments` at u = (chi t)^2: the mean (chi t)^2 <N^2> and the
     full variance, Var(k) = k_mean + (chi t)^4 Var(N^2)."""
-    return mixture_moments(state0, _pm_u(chi, t))
+    return mixture_moments(state0, _pm_u(chi, t, 2))
 
 
 def infer_total_mean_photons(k_mean: float, excess_var: float, chi: float, t: float) -> float:
@@ -248,7 +248,7 @@ def infer_total_mean_photons(k_mean: float, excess_var: float, chi: float, t: fl
     but flagged with ``NonPhysicalInferenceWarning``; a vanishing denominator
     raises ``DegenerateEstimatorError``, non-finite moments a ValueError.
     """
-    ct2 = _pm_u(chi, t)
+    ct2 = _pm_u(chi, t, 2)
     if ct2 <= 0:
         raise ValueError("chi * t must be nonzero")
     if not (math.isfinite(k_mean) and math.isfinite(excess_var)):
@@ -276,7 +276,7 @@ def coherent_count_moments(f: float, chi: float, t: float) -> tuple[float, float
     excess_var = (chi t)^4 (4F^3 + 6F^2 + F)."""
     if not (math.isfinite(f) and f >= 0):
         raise ValueError(f"f must be finite and >= 0, got {f!r}")
-    ct2 = _pm_u(chi, t)
+    ct2 = _pm_u(chi, t, 2)
     return ct2 * f * (f + 1.0), ct2**2 * (4.0 * f**3 + 6.0 * f**2 + f)
 
 

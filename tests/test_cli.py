@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import photoent
-from photoent import oracle
+from photoent import cli, oracle
 from photoent.cli import build_params, build_state, load_config, main
 
 
@@ -71,6 +71,16 @@ class TestPmDist:
             assert [int(r[1]) for r in rows] == ks
             checksums.append({r[3] for r in rows})
         assert checksums[0] == checksums[1] and len(checksums[0]) == 1
+
+    def test_listed_counts_need_no_count_cutoff(self, tmp_path, monkeypatch):
+        def no_cutoff(*args, **kwargs):
+            raise AssertionError("pm_count_cutoff called although grids.k is given")
+
+        monkeypatch.setattr(cli, "pm_count_cutoff", no_cutoff)
+        cfg = write_config(tmp_path, grids={"gamma_t": [0.5, 1.0], "k": [0, 2]})
+        assert main(["pm-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "pm_dist.csv")
+        assert [int(r[1]) for r in rows] == [0, 2, 0, 2]
 
     def test_number_state_column_is_poisson(self, tmp_path):
         cfg = write_config(

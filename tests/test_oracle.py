@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import tracemalloc
@@ -238,6 +239,25 @@ LOW_COUNT_STATE = make_superposition([(1, 0, 1), (0, 2, 1), (1, 1, 0.5 + 0.3j), 
 LOW_COUNT_PARAMS = ModelParams(lam=0.25, chi=0.325, gamma=1.0)
 
 
+# oracle-check-shaped Monte Carlo items (one entry per N = 1..4, chi/gamma
+# about 1/3, 2,000 trajectories) and one single-sector item of two batches:
+# (entries (m, n, phase), lam, chi, t, n_samples, seed, nonzero bins)
+PINNED_MC_ITEMS = [
+    ([(0, 1, 4.576), (2, 0, 1.258), (3, 0, 4.758), (3, 1, 3.35)], 0.191, 0.3347, 0.825, 2000, 539, {0: 1779, 1: 210, 2: 11}),
+    ([(1, 0, 1.945), (2, 0, 3.263), (3, 0, 4.331), (4, 0, 5.81)], 0.249, 0.3331, 1.038, 2000, 888, {0: 1652, 1: 289, 2: 51, 3: 8}),
+    ([(0, 1, 4.842), (2, 0, 2.927), (2, 1, 4.793), (3, 1, 2.079)], 0.238, 0.3265, 0.897, 2000, 581, {0: 1741, 1: 232, 2: 25, 3: 2}),
+    ([(1, 0, 1.439), (0, 2, 4.712), (0, 3, 6.101), (1, 3, 5.303)], 0.096, 0.3392, 1.365, 2000, 431, {0: 1356, 1: 444, 2: 150, 3: 42, 4: 7, 5: 1}),
+    ([(1, 0, 2.081), (2, 0, 1.483), (3, 0, 2.298), (4, 0, 2.317)], 0.179, 0.3326, 0.714, 2000, 638, {0: 1855, 1: 140, 2: 5}),
+    ([(1, 0, 5.907), (2, 0, 2.921), (1, 2, 4.298), (2, 2, 2.085)], 0.062, 0.3337, 0.518, 2000, 863, {0: 1936, 1: 63, 2: 1}),
+    ([(0, 1, 5.654), (1, 1, 4.422), (1, 2, 1.436), (1, 3, 5.045)], 0.072, 0.3292, 0.716, 2000, 536, {0: 1861, 1: 128, 2: 11}),
+    ([(1, 0, 1.263), (1, 1, 1.894), (3, 0, 0.853), (3, 1, 3.313)], 0.149, 0.3378, 1.341, 2000, 180, {0: 1386, 1: 429, 2: 147, 3: 36, 5: 2}),
+    ([(1, 0, 2.01), (2, 0, 3.637), (3, 0, 5.882), (4, 0, 0.745)], 0.017, 0.3225, 1.395, 2000, 928, {0: 1348, 1: 458, 2: 144, 3: 44, 4: 6}),
+    ([(1, 0, 5.947), (2, 0, 1.484), (3, 0, 1.018), (4, 0, 3.882)], 0.243, 0.3319, 1.375, 2000, 618, {0: 1347, 1: 462, 2: 139, 3: 42, 4: 9, 5: 1}),
+    ([(0, 1, 3.519), (0, 2, 0.003), (0, 3, 0.182), (0, 4, 0.652)], 0.257, 0.3335, 1.281, 2000, 593, {0: 1441, 1: 414, 2: 116, 3: 25, 4: 1, 5: 2, 6: 1}),
+    ([(1, 3, 0.0)], 0.26, 0.3373, 0.6, 5000, 136, {0: 4520, 1: 457, 2: 22, 3: 1}),
+]
+
+
 class TestMonteCarlo:
     def test_seed_reproducibility(self):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
@@ -260,6 +280,15 @@ class TestMonteCarlo:
     def test_matches_the_per_trajectory_sampler(self, state, params, t, n, seed):
         hist = mc_count_histogram(state, params, t, n, seed)
         assert np.array_equal(hist, per_trajectory_histogram(state, params, t, n, seed))
+
+    def test_workload_items_are_pinned(self):
+        # exact histograms, so a change to the sampler's bookkeeping that
+        # moves any trajectory shows here
+        assert PINNED_MC_ITEMS[-1][4] > oracle._BATCH
+        for entries, lam, chi, t, n, seed, bins in PINNED_MC_ITEMS:
+            s = make_superposition([(m, k, cmath.rect(1.0, phase)) for m, k, phase in entries])
+            hist = mc_count_histogram(s, ModelParams(lam=lam, chi=chi, gamma=1.0), t, n, seed)
+            assert {k: int(v) for k, v in enumerate(hist) if v} == bins, seed
 
     def test_batch_size_invariance(self, monkeypatch):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
@@ -384,10 +413,64 @@ def test_sector_engine_matches_the_full_tensor(k, n_nodes):
     s = make_superposition([(1, 0, 1.0), (0, 2, 0.6j), (2, 1, -0.5 + 0.3j)])
     t = 1.1
     evolved = apply_beam_splitter(s, params.lam, t)
-    prob, rho = oracle._quadrature_level(oracle._sector_setup(s, params), params, t, k, n_nodes, evolved)
+    prob, rho, _ = oracle._quadrature_level(oracle._sector_setup(s, params), params, t, k, n_nodes, evolved)
     ref_prob, ref_rho = full_tensor_level(s, params, t, k, n_nodes, monitor_dim(params, 3))
     assert abs(prob - ref_prob) <= 1e-12 * ref_prob
     assert np.max(np.abs(prob * rho.rho - ref_rho)) <= 1e-12
+
+
+def _levels_called(monkeypatch):
+    """Record the node count of every quadrature level the oracle builds."""
+    calls = []
+    level = oracle._quadrature_level
+
+    def spy(setup, params, t, k, n_nodes, evolved):
+        calls.append(n_nodes)
+        return level(setup, params, t, k, n_nodes, evolved)
+
+    monkeypatch.setattr(oracle, "_quadrature_level", spy)
+    return calls
+
+
+def _two_level_ladder(s, params, t, k):
+    """The node ladder alone: the first level that agrees with the one
+    before it, probability relative and dense density by max element."""
+    setup, evolved = oracle._sector_setup(s, params), apply_beam_splitter(s, params.lam, t)
+    prev = None
+    for n in oracle._NODE_LADDER:
+        prob, rho, _ = oracle._quadrature_level(setup, params, t, k, n, evolved)
+        if prev is not None and abs(prob - prev[0]) <= 1e-6 * prob and np.max(np.abs(rho.rho - prev[1].rho)) <= 1e-6:
+            return n, prob, rho
+        prev = prob, rho
+
+
+def test_rejected_estimate_falls_back_to_the_ladder(monkeypatch):
+    # |1, 0>, k = 2 at gamma t = 13: the 16-node null-rule estimate (2.4e-6
+    # relative) rejects, 8 and 16 nodes differ by 1.7e-6 and 16 and 32 agree
+    # to 3e-15, so the ladder returns 32 nodes; bitwise the ladder alone
+    s, params, t = make_number_state(1, 0, 2, 1), ModelParams(lam=0.3, chi=0.7, gamma=1.0), 13.0
+    n, ladder_prob, ladder_rho = _two_level_ladder(s, params, t, 2)
+    calls = _levels_called(monkeypatch)
+    prob, rho = nt_oracle_point(s, params, t, 2)
+    assert calls == [16, 8, 32] and n == 32
+    assert prob == ladder_prob and np.array_equal(rho.w, ladder_rho.w)
+
+
+def test_density_estimate_can_decide(monkeypatch):
+    # gamma t = 6.4: the probability's estimate (7.2e-8 relative) is within
+    # 1e-6 / _NULL_MARGIN, the density's (1.4e-7) is not, so p_k_quadrature
+    # takes the 16-node level alone and nt_oracle_point checks it against
+    # 8 nodes (2e-8 apart) first
+    s, params, t = make_number_state(1, 0, 2, 1), ModelParams(lam=0.3, chi=0.7, gamma=1.0), 6.4
+    calls = _levels_called(monkeypatch)
+    prob_only = p_k_quadrature(s, params, t, 2)
+    assert calls == [16]
+    calls.clear()
+    prob, rho = nt_oracle_point(s, params, t, 2)
+    assert calls == [16, 8]
+    monkeypatch.undo()
+    n, ladder_prob, ladder_rho = _two_level_ladder(s, params, t, 2)
+    assert n == 16 and prob == prob_only == ladder_prob and np.array_equal(rho.w, ladder_rho.w)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -399,7 +482,7 @@ def test_per_sector_cutoffs_at_the_edges(k):
     assert [monitor_dim(params, n) for n in (0, 1, 5)] == [10, 19, 75]
     t = 1.1
     evolved = apply_beam_splitter(s, params.lam, t)
-    prob, rho = oracle._quadrature_level(oracle._sector_setup(s, params), params, t, k, 8, evolved)
+    prob, rho, _ = oracle._quadrature_level(oracle._sector_setup(s, params), params, t, k, 8, evolved)
     ref_prob, ref_rho = full_tensor_level(s, params, t, k, 8, 75)
     assert abs(prob - ref_prob) <= 1e-12 * ref_prob
     assert np.max(np.abs(prob * rho.rho - ref_rho)) <= 1e-12

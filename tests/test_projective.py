@@ -255,23 +255,41 @@ def test_coherent_product_estimator_checks_chi_and_t(call, chi, t, match):
         call(chi, t)
 
 
-@pytest.mark.parametrize(("chi", "t"), [(1e200, 1.0), (1.0, 1e200), (1e155, 1e155)])
+# name: (call, whether it squares u = (chi t)^2 as the moment formulas do)
+OVERFLOW_CALLS = {
+    "probability": (lambda s, chi, t: pm_probability(s, chi, t, 1), False),
+    "count_cutoff": (lambda s, chi, t: pm_count_cutoff(s, chi, t), False),
+    "postselect": (lambda s, chi, t: pm_postselect(s, 0.1, chi, t, 1), False),
+    "infer": (lambda s, chi, t: infer_total_mean_photons(1.0, 1.0, chi, t), True),
+    "moments": (lambda s, chi, t: coherent_count_moments(2.0, chi, t), True),
+    "mean_variance": (lambda s, chi, t: pm_mean_variance(s, chi, t), True),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    ("call", "chi", "t"),
     [
-        lambda s, chi, t: pm_probability(s, chi, t, 1),
-        lambda s, chi, t: pm_count_cutoff(s, chi, t),
-        lambda s, chi, t: pm_postselect(s, 0.1, chi, t, 1),
-        lambda s, chi, t: infer_total_mean_photons(1.0, 1.0, chi, t),
-        lambda s, chi, t: coherent_count_moments(2.0, chi, t),
+        (name, chi, t)
+        for name, (_, squares_u) in OVERFLOW_CALLS.items()
+        for chi, t in [(1e200, 1.0), (1.0, 1e200), (1e155, 1e155)]
+        + ([(1e100, 1.0), (1.0, 1e100), (2.0**256, 1.0)] if squares_u else [])
     ],
-    ids=["probability", "count_cutoff", "postselect", "infer", "moments"],
 )
 def test_overflowing_chi_t_rejected(call, chi, t):
     # finite chi and t whose (chi t)^2 overflows: 1e200 used to raise
-    # OverflowError, and 1e155 * 1e155 gave NaN with RuntimeWarnings only
-    with pytest.raises(ValueError, match=re.escape(f"(chi t)^2 must be finite, got chi={chi!r} and t={t!r}")):
+    # OverflowError, and 1e155 * 1e155 gave NaN with RuntimeWarnings only;
+    # the moment formulas square (chi t)^2 once more, so from chi t = 2^256
+    # on they raised OverflowError
+    call, squares_u = OVERFLOW_CALLS[call]
+    power = 4 if squares_u else 2
+    with pytest.raises(ValueError, match=re.escape(f"(chi t)^{power} must be finite, got chi={chi!r} and t={t!r}")):
         call(make_superposition([(1, 0, 1.0), (1, 1, 1.0)]), chi, t)
+
+
+def test_moments_just_below_the_overflow():
+    s = make_superposition([(1, 0, 1.0), (1, 1, 1.0)])
+    assert all(math.isfinite(v) for v in coherent_count_moments(0.5, 2.0**255, 1.0))
+    assert all(math.isfinite(v) for v in pm_mean_variance(s, 2.0**250, 1.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
