@@ -55,7 +55,8 @@ class ModelParams:
 
     lam    -- A-B exchange rate (the beam-splitter term), >= 0
     chi    -- rate coupling the total photon number of A,B to the monitor, > 0
-    gamma  -- photodetector counting rate on the monitor, > 0
+    gamma  -- photodetector counting rate on the monitor, > 0, with chi^2,
+              gamma^2 and chi^2/gamma^2 positive normal floats (the kernels square both)
     """
 
     lam: float
@@ -72,6 +73,12 @@ class ModelParams:
             raise ValueError(f"chi must be > 0, got {self.chi}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        chi2, gamma2 = self.chi * self.chi, self.gamma * self.gamma
+        for name, value in (("chi^2", chi2), ("gamma^2", gamma2), ("chi^2/gamma^2", chi2 / gamma2 if gamma2 else 0.0)):
+            if not np.finfo(float).tiny <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be a positive normal float, got {value!r} (chi={self.chi!r}, gamma={self.gamma!r})"
+                )
 
 
 @dataclass(frozen=True)

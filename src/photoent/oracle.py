@@ -12,10 +12,9 @@ deterministic nested Gauss-Legendre quadrature over the jump-time simplex
 (one level, checked by a null rule on its nodes), higher k from Monte Carlo
 sampling of jump times from the exact waiting-time distribution (the norm
 decay of the no-count semigroup).  A trajectory draws its sector N first
-and carries that sector alone; the sampler computes each sector's no-count
-path once, reads each first count off its norms, and locates every later
-count by one batched bisection, all thresholds drawn from one
-``default_rng(seed)``.
+and carries that sector alone; the sampler locates each count by one
+batched dyadic search over the rest of [0, t], all thresholds drawn from
+one ``default_rng(seed)``.
 
 Y commutes with the total AB photon number N = m + n, and within a sector
 of fixed N the exchange part and the monitor part act on different tensor
@@ -33,7 +32,7 @@ U = diag((-i)^p) gives U† c U = -i c, so M_N = U W_N U† with the real
     W_N = chi N (c† - c) - (gamma/2) c†c,
 
 and after k counts phi_N is (-i)^k U times the real vector obtained from
-the vacuum by expm(W_N dt) per segment and sqrt(gamma) c per count.  The
+the vacuum by exp(W_N dt) per segment and sqrt(gamma) c per count.  The
 phases cancel in every overlap, so both oracles carry one real vector per
 populated sector.  The quadrature sums the real Gram matrix
 
@@ -43,7 +42,8 @@ so that P(k) = sum_N P_N G(N, N) and the conditional state is the
 `DephasedState` of psi~ with sector matrix G(N, N') / P(k): the closed form's
 format, with its Gram matrix in place of exp(-mu (N - N')^2 / 2).  No
 (d_a d_b)^2 array is built here.  Every propagator is computed where it is
-used; nothing is cached, and scipy's expm is imported only there.  The
+used, nothing is cached, and no scipy is loaded: exp(W_N dt) comes from a
+numpy Taylor polynomial with scaling and squaring (`_exp_map`).  The
 tests (`tests/crosschecks.py`) push the full A (x) B (x) C tensor through
 the same records and integrate the full generator by adaptive Runge-Kutta
 to cross-check this.
@@ -75,14 +75,15 @@ _REL_TOL = 1e-6
 _NULL_MARGIN = 10.0
 # Gauss-Legendre nodes per jump, doubled until two levels agree; 16 tried first
 _NODE_LADDER = (8, 16, 32, 64)
-# Monte Carlo time grid: base steps of t / _BASE_STEPS, jump times located
-# by bisection to t / _BASE_STEPS / 2^_DEPTH; counts beyond _MAX_TRACK share
-# the overflow bin
-_BASE_STEPS = 64
-_DEPTH = 30
+# Monte Carlo time grid: jump times located by a dyadic search over
+# propagators of t / 2^level, level <= _DEPTH, to t / 2^_DEPTH; counts beyond
+# _MAX_TRACK share the overflow bin
+_DEPTH = 36
 _MAX_TRACK = 64
 # Monte Carlo trajectories advanced together
 _BATCH = 4096
+# 1/j!, j = 0..18: the Taylor coefficients of _exp_map
+_TAYLOR = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 19.0)])
 
 
 def monitor_dim(params: ModelParams, n_total_max: int) -> int:
@@ -96,6 +97,36 @@ def monitor_dim(params: ModelParams, n_total_max: int) -> int:
             f"reduce chi/gamma or the total photon number ({n_total_max})"
         )
     return dim
+
+
+def _exp_map(gen: np.ndarray):
+    """The map taus -> exp(tau gen) for every tau in ``taus``, of shape
+    taus.shape + gen.shape.
+
+    Each is the degree-18 Taylor polynomial of tau gen / 2^s squared s times
+    (Higham 2005), s the least with tau alpha / 2^s <= 1, where alpha =
+    max(|gen^4|^(1/4), |gen^5|^(1/5)) in the 1-norm bounds the remainder by
+    sum_{j > 18} 1/j! < 1e-17 (Al-Mohy & Higham 2009, Thm 4.2).  The powers
+    of gen / 2^e, |gen / 2^e|_1 <= 1, are taken once, so the polynomial of
+    each tau is one row of a single matrix product; only the matrices that
+    still need it are squared."""
+    e = np.frexp(np.linalg.norm(gen, 1))[1]
+    powers = np.empty((19,) + gen.shape)
+    powers[0], powers[1] = np.eye(len(gen)), np.ldexp(gen, -e)
+    for j in range(2, 19):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    alpha = max(np.linalg.norm(powers[4], 1) ** 0.25, np.linalg.norm(powers[5], 1) ** 0.2)
+
+    def exp(taus) -> np.ndarray:
+        shape, taus = np.shape(taus), np.ravel(taus)
+        s = np.maximum(np.frexp(np.ldexp(taus * alpha, e))[1], 0)
+        out = np.tensordot(np.ldexp(taus, e - s)[:, None] ** np.arange(19) * _TAYLOR, powers, axes=1)
+        for r in range(s.max(initial=0)):
+            square = out[s > r]
+            out[s > r] = square @ square
+        return out.reshape(shape + gen.shape)
+
+    return exp
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -129,15 +160,14 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
     record falls at tau_ij = s_i (x_j + 1) / 2 = tau_ji, so one propagator
     per unordered node pair starts records (i, j) and (j, i) and carries the
     middle segment of records (i, n-1-j) and (j, n-1-i): a level takes n
-    (k = 1) or n(n+1)/2 + n (k = 2) propagators per sector, at most 2n of
-    them held at once.
+    (k = 1) or n(n+1)/2 + n (k = 2) propagators per sector, all from one
+    `_exp_map` of the sector's generator, at most 2n of them held at once.
     """
-    from scipy.linalg import expm  # loaded when an oracle runs, not at import
     x, w = np.polynomial.legendre.leggauss(n_nodes)
 
-    def one_count(gen, jump_op, span):
+    def one_count(exp, jump_op, span):
         """Vectors at ``span`` after one count at each node of [0, span]."""
-        props = expm((0.5 * span * (x + 1.0))[:, None, None] * gen)
+        props = exp(0.5 * span * (x + 1.0))
         return props[::-1] @ (jump_op @ props[:, :, :1])
 
     s, ws = 0.5 * t * (x + 1.0), 0.5 * t * w
@@ -145,14 +175,14 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
     phis = []
     for n_tot in sectors:
         d = monitor_dim(params, int(n_tot))
-        gen = _monitor_generator(params.chi, params.gamma, int(n_tot), d)
+        exp = _exp_map(_monitor_generator(params.chi, params.gamma, int(n_tot), d))
         jump_op = math.sqrt(params.gamma) * annihilation(d)
         if k == 0:
-            phi = expm(gen * t)[:, :1]
+            phi = exp(t)[:, :1]
         elif k == 1:
-            phi = one_count(gen, jump_op, t)
+            phi = one_count(exp, jump_op, t)
         else:  # first count at node j of [0, s_i], second at s_i
-            last = expm(s[::-1, None, None] * gen)
+            last = exp(s[::-1])
             # record (i, j) just after its first count, and at its second
             first, second = np.empty((2, n_nodes, n_nodes, d))
             for f in range((n_nodes + 1) // 2):
@@ -160,7 +190,7 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
                 # record started here has its middle segment here too
                 i = np.repeat([f, n_nodes - 1 - f], [n_nodes - 2 * f, n_nodes - 2 * f - 1])
                 j = np.r_[f : n_nodes - f, f + 1 : n_nodes - f]
-                props = expm((0.5 * s[i] * (x[j] + 1.0))[:, None, None] * gen)
+                props = exp(0.5 * s[i] * (x[j] + 1.0))
                 first[i, j] = first[j, i] = props[:, :, 0] @ jump_op.T
                 mi, mj = n_nodes - 1 - i, n_nodes - 1 - j
                 out = props @ np.stack([first[i, mj], first[j, mi]], axis=-1)
@@ -256,79 +286,40 @@ def nt_oracle_point(state0: TwoModeState, params: ModelParams, t: float, k: int)
 def _mc_sector(params: ModelParams, n_tot: int, t: float, n_traj: int, rng: np.random.Generator) -> np.ndarray:
     """Count histogram of ``n_traj`` trajectories of sector ``n_tot`` at its
     cutoff monitor_dim(params, n_tot), the monitor starting in the vacuum."""
-    from scipy.linalg import expm
     d_c = monitor_dim(params, n_tot)
     # transposed propagators per level: batches advance by row-vector matmul
-    taus = t / _BASE_STEPS / 2.0 ** np.arange(_DEPTH + 1)
     gen = _monitor_generator(params.chi, params.gamma, n_tot, d_c)
-    props_t = expm(taus[:, None, None] * gen).transpose(0, 2, 1)
+    props_t = _exp_map(gen)(t / 2.0 ** np.arange(_DEPTH + 1)).transpose(0, 2, 1)
     props_t[np.abs(props_t) < np.finfo(float).tiny] = 0.0
     c_t = annihilation(d_c).T.copy()
     hist = np.zeros(_MAX_TRACK + 2, dtype=np.int64)
+    end = 1 << _DEPTH
 
     def norms(phi: np.ndarray) -> np.ndarray:
         return np.add.reduce(phi * phi, axis=-1)
 
-    def do_jump(phi: np.ndarray) -> np.ndarray:
-        out = phi @ c_t
-        return out / np.maximum(np.sqrt(norms(out)), 1e-300)[:, None]
-
-    def jump_in_step(low: np.ndarray, cur: np.ndarray) -> None:
-        """Trajectories ``low`` cross their threshold inside the base step
-        that starts at ``cur``; leave them at the end of the step.
-
-        ``room``, the part of the step still ahead, counts finest chunks of
-        t / _BASE_STEPS / 2^_DEPTH.  Each round bisects to the last finest
-        grid point whose norm is at or above the threshold (taking only
-        chunks that end before the step does), jumps there, moves on to the
-        next threshold, and walks the rest of the step largest chunk first;
-        trajectories whose step-end norm is below the new threshold go round
-        again from just after their jump.  ``cur`` is overwritten."""
-        room = np.full(low.size, 1 << _DEPTH, dtype=np.int64)
-        while low.size:
-            u = thresholds[low, jumps[low]]
-            for level in range(1, _DEPTH + 1):
-                chunk = 1 << (_DEPTH - level)
-                cand = cur @ props_t[level]
-                ok = (chunk < room) & (norms(cand) >= u)
-                np.copyto(cur, cand, where=ok[:, None])
-                room -= chunk * ok
-            cur = do_jump(cur)
-            jumps[low] += 1
-            after = cur.copy()
-            bits = int(np.bitwise_or.reduce(room))  # the levels some row needs
-            for level in range(_DEPTH + 1):
-                if bits & (bit := 1 << (_DEPTH - level)):
-                    take = (room & bit) != 0
-                    cur[take] = cur[take] @ props_t[level]
-            phi[low] = cur
-            again = (norms(cur) < thresholds[low, jumps[low]]) & (jumps[low] <= _MAX_TRACK)
-            low, cur, room = low[again], after[again], room[again]
-
-    # every trajectory carries the same vector until its first count: the
-    # no-count path at the step boundaries, path[s] at time s t / _BASE_STEPS
-    path = np.zeros((_BASE_STEPS + 1, d_c))
-    path[0, 0] = 1.0
-    for step in range(_BASE_STEPS):
-        path[step + 1] = path[step] @ props_t[0]
-    path_norms = norms(path)
     for start in range(0, n_traj, _BATCH):
         n_batch = min(_BATCH, n_traj - start)
         thresholds = rng.random((n_batch, _MAX_TRACK + 2))
         jumps = np.zeros(n_batch, dtype=np.int64)
-        # the first count falls in the first step whose end norm is below
-        # the first threshold
-        crossed = path_norms[1:, None] < thresholds[:, 0]
-        first = np.argmax(crossed, axis=0)
-        counted = np.nonzero(crossed.any(axis=0))[0]
-        phi = np.empty((n_batch, d_c))
-        jump_in_step(counted, path[first[counted]])
-        for step in range(1 + first[counted].min(initial=_BASE_STEPS), _BASE_STEPS):  # none active before
-            idx = counted[(first[counted] < step) & (jumps[counted] <= _MAX_TRACK)]
-            prev = phi[idx]
-            phi[idx] = stepped = prev @ props_t[0]
-            crossed_now = norms(stepped) < thresholds[idx, jumps[idx]]
-            jump_in_step(idx[crossed_now], prev[crossed_now])
+        # live trajectories, their vectors and their times in finest chunks
+        live = np.arange(n_batch)
+        cur = np.zeros((n_batch, d_c))
+        cur[:, 0] = 1.0
+        pos = np.zeros(n_batch, dtype=np.int64)
+        while live.size:
+            # to the last finest grid point whose norm is at or above the threshold
+            u = thresholds[live, jumps[live]]
+            for level in range(_DEPTH + 1):
+                chunk = 1 << (_DEPTH - level)
+                cand = cur @ props_t[level]
+                ok = (pos + chunk <= end) & (norms(cand) >= u)
+                np.copyto(cur, cand, where=ok[:, None])
+                pos += chunk * ok
+            jumps[live[pos < end]] += 1
+            keep = (pos < end) & (jumps[live] <= _MAX_TRACK)
+            live, pos, cur = live[keep], pos[keep], cur[keep] @ c_t
+            cur /= np.maximum(np.sqrt(norms(cur)), 1e-300)[:, None]
         hist += np.bincount(np.minimum(jumps, _MAX_TRACK + 1), minlength=_MAX_TRACK + 2)
     return hist
 
@@ -352,25 +343,26 @@ def mc_count_histogram(
     same stream, entry k the threshold of its (k+1)-th count.  The exchange
     part of the generator is norm-preserving and is not simulated.
 
-    Waiting times are found by threshold crossing of the squared norm,
-    located by dyadic bisection to delta = t / _BASE_STEPS / 2^_DEPTH
-    (1.5e-11 t) and realigned to the step grid; the propagators are the real
-    expm(W_N dt), subnormal entries set to 0 (below the rounding of any
-    norm, and slow).  A jump lands at the last finest grid point before its
-    crossing, early by less than delta, so the bias of P(k | N) is of order
-    (k + 1) delta gamma (d_c(N) - 1), d_c(N) - 1 bounding the monitor photon
-    number: about 1e-7 on the criterion-3 gate (t = 2, gamma = 1,
-    d_c(4) = 58), whose 3 sigma is 2.5e-3.
+    Waiting times are found by threshold crossing of the squared norm, which
+    never grows (W_N + W_N^T = -gamma c^T c), located on the grid
+    delta = t / 2^_DEPTH (1.5e-11 t); the propagators are the real
+    exp(W_N t / 2^level), level <= _DEPTH, subnormal entries set to 0 (below
+    the rounding of any norm, and slow).  A jump lands at the last grid
+    point whose norm is at or above its threshold, early by less than delta,
+    so the bias of P(k | N) is of order (k + 1) delta gamma (d_c(N) - 1),
+    d_c(N) - 1 bounding the monitor photon number: about 1e-7 on the
+    criterion-3 gate (t = 2, gamma = 1, d_c(4) = 58), whose 3 sigma is
+    2.5e-3.
 
-    Until its first count every trajectory of a sector carries the same
-    vector, so the sector's no-count path at the step boundaries is computed
-    once; a first count falls in the first step whose end norm is below the
-    threshold.  Every count inside a step is located by one batched routine
-    (``jump_in_step``), whose walk to the step end after a count, largest
-    chunk first, is exact in time; another grouping of the same propagator
-    products can round a norm differently.  In the gauge U = diag((-i)^p)
-    the monitor factor is real and a count is -i sqrt(gamma) c; the jumped
-    vector is renormalized, so that factor changes no norm and is dropped.
+    Each trajectory keeps its time as an integer count of delta.  In every
+    generation of counts, all live trajectories run one greedy search from
+    their last count: level by level, a chunk of t / 2^level is taken where
+    it stays within [0, t] and the norm after it stays at or above the
+    threshold.  The norm is monotone, so this finds the last grid point of
+    the crossing; trajectories that reach t count no more, the others jump.
+    In the gauge U = diag((-i)^p) the monitor factor is real and a count is
+    -i sqrt(gamma) c; the jumped vector is renormalized, so that factor
+    changes no norm and is dropped.
 
     The thresholds come from one stream in row-major order, so a
     trajectory's row, and the integer histogram, do not depend on ``_BATCH``

@@ -332,6 +332,19 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, params={"lambda": 0.0, "chi": -1.0, "gamma": 1.0})
         assert main(["pm-dist", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["count-dist", "scan"])
+    @pytest.mark.parametrize(
+        ("chi", "gamma", "field"), [(0.5, 1e-200, "gamma^2"), (1e200, 1.0, "chi^2"), (1e-300, 1.0, "chi^2")]
+    )
+    def test_rates_whose_squares_leave_the_normal_floats_exit_2(self, tmp_path, capsys, command, chi, gamma, field):
+        # these exited 1 with ZeroDivisionError or OverflowError, or 0 with peak times of 0.0
+        cfg = write_config(
+            tmp_path, params={"lambda": 0.0, "chi": chi, "gamma": gamma}, grids={"gamma_t": [0.5], "k": [0, 1, 3]}
+        )
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"{field} must be a positive normal float" in capsys.readouterr().err
+        assert not any(path.is_file() for path in (tmp_path / "out").rglob("*"))
+
     @pytest.mark.parametrize(
         "state,field",
         [
@@ -458,23 +471,26 @@ def _package_env():
     return env
 
 
-def test_cli_import_leaves_out_scipy_stats_and_integrate():
-    # no scipy module at all after importing the package and the CLI; an
-    # oracle loads scipy.linalg when it runs
+def test_cli_and_oracles_run_without_scipy():
+    # no scipy module at all after importing the package and the CLI, nor
+    # after every oracle has run (their matrix exponential is numpy)
     code = (
         "import sys\n"
         "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import photoent; print(scipy())\n"
         "import photoent.cli; print(scipy())\n"
-        "from photoent.oracle import p_k_quadrature\n"
-        "p = p_k_quadrature(photoent.make_superposition([(1, 0, 1.0)]), photoent.ModelParams(0.0, 0.5, 1.0), 1.0, 1)\n"
-        "print(0.0 < p < 1.0, 'scipy.linalg' in sys.modules)\n"
+        "from photoent.oracle import mc_count_histogram, nt_oracle_point, p_k_quadrature\n"
+        "s, params = photoent.make_superposition([(1, 0, 1.0), (0, 2, 1.0)]), photoent.ModelParams(0.1, 0.5, 1.0)\n"
+        "p = p_k_quadrature(s, params, 1.0, 2)\n"
+        "q, rho = nt_oracle_point(s, params, 1.0, 1)\n"
+        "hist = mc_count_histogram(s, params, 1.0, 100, 3)\n"
+        "print(0.0 < p < 1.0, 0.0 < q < 1.0, int(hist.sum()), scipy())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "True True"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "True True 100 []"]
 
 
 def _run_entry_point(command, env):

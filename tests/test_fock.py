@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,20 @@ class TestConstructors:
             ModelParams(lam=0.0, chi=1.0, gamma=-2.0)
         with pytest.raises(ValueError):
             ModelParams(lam=float("inf"), chi=1.0, gamma=1.0)
+
+    @pytest.mark.parametrize(
+        ("chi", "gamma", "field"),
+        [(1.0, 1e-200, "gamma^2"), (1e200, 1.0, "chi^2"), (1e-300, 1.0, "chi^2"), (1e150, 1e-150, "chi^2/gamma^2")],
+    )
+    def test_rates_whose_squares_leave_the_normal_floats_rejected(self, chi, gamma, field):
+        # gamma^2 used to underflow to 0 (ZeroDivisionError in the kernels),
+        # chi^2 to overflow (OverflowError) or underflow (peak times of 0.0)
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a positive normal float")):
+            ModelParams(lam=0.0, chi=chi, gamma=gamma)
+
+    def test_rates_with_normal_squares_accepted(self):
+        for chi, gamma in [(1e-150, 1.0), (1e150, 1.0), (1.0, 1e-150), (1e75, 1e-75)]:
+            ModelParams(lam=0.0, chi=chi, gamma=gamma)
 
 
 class TestBeamSplitter:

@@ -146,6 +146,38 @@ class TestJump:
         assert jump(once, 1.0).norm_sq == 0.0
 
 
+class TestExpm:
+    """The oracles' numpy matrix exponential against scipy's."""
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.325, 0.9])
+    @pytest.mark.parametrize("n_tot", [1, 3, 6])
+    def test_matches_scipy_on_the_oracle_stacks(self, ratio, n_tot):
+        params = ModelParams(lam=0.0, chi=ratio, gamma=1.0)
+        d_c = monitor_dim(params, n_tot)
+        gen = oracle._monitor_generator(params.chi, params.gamma, n_tot, d_c)
+        exp = oracle._exp_map(gen)
+        x = np.polynomial.legendre.leggauss(16)[0]
+        for t in (0.5, 2.0, 16.0):
+            # the Monte Carlo levels t / 2^36 .. t, and a quadrature batch
+            for taus in (t / 2.0 ** np.arange(37), 0.25 * t * (x + 1.0)):
+                ref = expm(taus[:, None, None] * gen)
+                worst = np.max(np.abs(exp(taus) - ref))
+                assert worst <= 1e-13 * np.max(np.abs(ref)), (t, d_c, worst)
+
+    def test_shapes_and_trivial_generators(self, rng):
+        one = oracle._exp_map(np.array([[-0.5]]))(2.0)
+        assert one.shape == (1, 1) and one[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-15)
+        taus = np.array([[0.0, 0.3], [1.0, 40.0]])
+        assert np.array_equal(oracle._exp_map(np.zeros((3, 3)))(taus), np.broadcast_to(np.eye(3), (2, 2, 3, 3)))
+        gen = rng.normal(size=(5, 5))
+        taus = np.array([[0.0, 0.3], [1.0, 3.0]])
+        batch = oracle._exp_map(gen)(taus)
+        assert batch.shape == (2, 2, 5, 5)
+        assert np.array_equal(batch[0, 0], np.eye(5))
+        for tau, got in zip(taus.ravel(), batch.reshape(-1, 5, 5)):
+            assert np.max(np.abs(got - expm(tau * gen))) <= 1e-13 * np.max(np.abs(got))
+
+
 class TestQuadrature:
     def test_no_count_probability_matches_closed_form(self):
         s = make_superposition([(1, 0, 1), (0, 2, 1)])
