@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import probe as probe_mod
 from .fock import (
     ConvergenceError,
     DephasedState,
@@ -37,12 +36,11 @@ from .fock import (
     make_superposition,
     make_two_mode_squeezed,
 )
-from .oracle import mc_estimates, nt_oracle_point, p_k_quadrature
 from .photocount import (
     count_distribution,
     count_probability,
     entanglement_scan,
-    most_probable_time,
+    most_probable_times,
     postselect_density,
     sample_counts,
 )
@@ -63,6 +61,7 @@ def config_sha256(cfg: dict) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)  # only a run that writes makes --out
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
     try:
         with os.fdopen(fd, "w") as fh:
@@ -78,10 +77,12 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[float]], cfg_hash: str) -> None:
+def write_csv(path: Path, header: list[str], rows: list[list], cfg_hash: str) -> None:
+    """Floats are written by `_fmt`, other cells by str(); a caller passes
+    a value it repeats on many rows as its `_fmt` string, formatted once."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
     lines.append(f"# config_sha256={cfg_hash}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -252,9 +253,10 @@ def cmd_pm_dist(cfg: dict, out: Path, args) -> int:
     rows = []
     for gt in grid:
         row = pm_distribution_row(state, params.chi, gt / params.gamma, max(ks))
-        checksum = math.fsum(row)
+        gt_cell, checksum = _fmt(float(gt)), _fmt(math.fsum(row))
+        probs = row.tolist()
         for k in ks:
-            rows.append([float(gt), k, float(row[k]), checksum])
+            rows.append([gt_cell, k, probs[k], checksum])
     write_csv(out / "pm_dist.csv", ["gamma_t", "k", "probability", "row_checksum"], rows, config_sha256(cfg))
     return 0
 
@@ -267,16 +269,14 @@ def cmd_count_dist(cfg: dict, out: Path, args) -> int:
     explicit = cfg.get("grids", {}).get("k")
     k_max = max(k_list(cfg, 0)) if explicit is not None else None
     dist = count_distribution(state, params, times, k_max=k_max)
+    ks = dist.k_range.tolist()
+    peaks = {str(k): params.gamma * t_m for k, t_m in zip(ks, most_probable_times(state, params, ks).tolist())}
     rows = []
-    for i, gt in enumerate(grid):
-        for j, k in enumerate(dist.k_range):
-            rows.append([float(gt), int(k), float(dist.values[i, j])])
+    for gt, probs in zip(grid.tolist(), dist.values.tolist()):
+        gt_cell = _fmt(gt)
+        rows.extend([gt_cell, k, p] for k, p in zip(ks, probs))
     cfg_hash = config_sha256(cfg)
     write_csv(out / "count_dist.csv", ["gamma_t", "k", "probability"], rows, cfg_hash)
-    peaks = {
-        str(int(k)): params.gamma * most_probable_time(state, params, int(k))
-        for k in dist.k_range
-    }
     write_json(out / "count_dist_peak_times.json", {"gamma_t_m": peaks, "config_sha256": cfg_hash})
     return 0
 
@@ -300,6 +300,8 @@ def cmd_scan(cfg: dict, out: Path, args) -> int:
 
 
 def cmd_oracle_check(cfg: dict, out: Path, args) -> int:
+    from .oracle import mc_estimates, nt_oracle_point, p_k_quadrature  # only this subcommand loads it
+
     state = build_state(cfg)
     params = build_params(cfg)
     section = cfg.get("oracle", {})
@@ -387,6 +389,8 @@ def _parse_records(path: str) -> np.ndarray:
 
 
 def cmd_probe(cfg: dict, out: Path, args) -> int:
+    from . import probe as probe_mod  # only this subcommand loads it
+
     params = build_params(cfg)
     section = cfg.get("probe", {})
     _require(
@@ -463,8 +467,8 @@ def cmd_sample(cfg: dict, out: Path, args) -> int:
     gt = _as_float(section["gamma_t"], "sample.gamma_t")
     t = gt / params.gamma
     n = _as_int(section["n_samples"], "sample.n_samples")
-    ks = sample_counts(state, params, t, n, seed)
-    rows = [[int(k), t, 1.0] for k in ks]
+    t_cell, weight = _fmt(t), _fmt(1.0)
+    rows = [[k, t_cell, weight] for k in sample_counts(state, params, t, n, seed).tolist()]
     write_csv(out / "sample.csv", ["k", "t", "weight"], rows, config_sha256(cfg))
     return 0
 
@@ -501,9 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args)
+        return _COMMANDS[args.command](cfg, Path(args.out), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -171,7 +171,9 @@ def _gram(params: ModelParams, sectors: np.ndarray, d_c: int, t: float, k: int, 
         return props[::-1] @ (jump_op @ props[:, :, :1])
 
     s, ws = 0.5 * t * (x + 1.0), 0.5 * t * w
-    weights = {0: np.ones(1), 1: ws, 2: np.outer(ws, 0.5 * w) * s[:, None]}[k]
+    if k == 2 and not math.isfinite(t * t):
+        raise ValueError(f"the k = 2 quadrature weights grow as t^2, which overflows at t={t!r}")
+    weights = np.ones(1) if k == 0 else ws if k == 1 else np.outer(ws, 0.5 * w) * s[:, None]
     phis = []
     for n_tot in sectors:
         d = monitor_dim(params, int(n_tot))

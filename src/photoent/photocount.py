@@ -55,6 +55,7 @@ from .projective import (
 )
 
 _SERIES_CUT = 0.5
+_GRID_BLOCK = 1 << 15  # peak-search grid elements (points x sectors) evaluated at once
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,8 @@ def _h_core(x: float) -> float:
 def eval_kernels(params: ModelParams, t: float) -> SdKernels:
     """Evaluate all counting kernels at time t.
 
-    Raises ConvergenceError if the trace identity 2h - mu = 2g fails.
+    Raises ValueError, naming the rates, if a kernel is not a finite float,
+    and ConvergenceError if the trace identity 2h - mu = 2g fails.
     """
     _check_time(t)
     x = params.gamma * t
@@ -131,9 +133,13 @@ def eval_kernels(params: ModelParams, t: float) -> SdKernels:
     h = scale * _h_core(x)
     one_minus = -math.expm1(-x / 2.0)  # 1 - e^{-x/2}, stable for small x
     mu = 2.0 * scale * one_minus**2
+    if not all(map(math.isfinite, (g, h, mu))):
+        raise ValueError(f"counting kernels overflow at t={t!r} (chi={params.chi!r}, gamma={params.gamma!r})")
     z_factor = -2j * params.chi / params.gamma * one_minus
     kern = SdKernels(t=t, g=g, h=h, mu=mu, u=2.0 * g, z_factor=z_factor)
-    if not abs(2.0 * kern.h - kern.mu - kern.u) <= 1e-12 * max(1.0, abs(kern.u)):
+    # 2h and mu carry rounding of their own size, which is up to 3/(gamma t)
+    # times u; so the identity holds to the size of 2h = u + mu, not of u
+    if not abs(2.0 * kern.h - kern.mu - kern.u) <= 1e-12 * max(1.0, 2.0 * kern.h):
         raise ConvergenceError(f"trace identity 2h - mu = 2g violated at t={t}")
     return kern
 
@@ -182,60 +188,112 @@ def short_time_state(state0: TwoModeState, lam: float, t: float, k: int) -> TwoM
     return reweight_sectors(evolved, k, 0.0)
 
 
-def _bisect(positive, lo, hi):
-    """Bisect elementwise toward the point where ``positive`` turns false,
-    until lo and hi are adjacent floats; returns lo."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+def _bisect(positive, lo, hi, group):
+    """Bisect each row toward the point where ``positive`` turns false and
+    return its lo.  Rows step in groups (``group`` ids, nondecreasing): a
+    group keeps stepping all its rows until every one has lo and hi adjacent
+    floats, as a search of that group alone would, because a converged row's
+    lo can still move up one ulp.  ``positive(mid, live)`` gets the
+    midpoints of the rows ``live`` of the groups still stepping."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    live = np.arange(len(lo))
     while True:
-        mid = (lo + hi) / 2.0
-        if ((mid == lo) | (mid == hi)).all():
+        mid = (lo[live] + hi[live]) / 2.0
+        open_rows = (mid != lo[live]) & (mid != hi[live])
+        stepping = np.bincount(group[live], open_rows, minlength=group[-1] + 1)[group[live]] > 0
+        live, mid = live[stepping], mid[stepping]
+        if live.size == 0:
             return lo
-        up = positive(mid)
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        up = positive(mid, live)
+        lo[live], hi[live] = np.where(up, mid, lo[live]), np.where(up, hi[live], mid)
 
 
-def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> float:
-    """Time t_m maximizing P(k, t).
+def _grid_peaks(weights, n_sq, ks):
+    """Brackets (lo, hi) around each log-grid maximum of P(k) within 2% of
+    the grid's best, for every k of the array ``ks``, with the index of its
+    k; the grids are evaluated a block of k at a time to bound memory."""
+    sizes = np.array([int(4.0 * math.sqrt(k) * math.log((k / n_sq[0]) / (k / n_sq[-1]))) + 3 for k in ks.tolist()])
+    cum = np.cumsum(sizes)
+    brackets = []
+    first = 0
+    while first < len(ks):
+        last = max(first + 1, np.searchsorted(cum, cum[first] - sizes[first] + _GRID_BLOCK // len(n_sq), "right"))
+        size = sizes[first:last]
+        grid = np.concatenate([np.geomspace(k / n_sq[-1], k / n_sq[0], n) for k, n in zip(ks[first:last], size)])
+        index = np.repeat(np.arange(first, last), size)
+        vals = mixture_pmf(weights, np.multiply.outer(grid, n_sq), ks[index, None])
+        starts = np.cumsum(size) - size
+        ends = starts + size - 1
+        before, after = np.roll(vals, 1), np.roll(vals, -1)
+        before[starts], after[ends] = -np.inf, -np.inf
+        top = (vals >= before) & (vals >= after) & (vals >= 0.98 * np.repeat(np.maximum.reduceat(vals, starts), size))
+        # grid[i] lies in [grid[i - 1], grid[i + 1]]; a grid's ends are its bracket's
+        lower, upper = np.roll(grid, 1), np.roll(grid, -1)
+        lower[starts], upper[ends] = grid[starts], grid[ends]
+        brackets.append((lower[top], upper[top], index[top]))
+        first = last
+    return (np.concatenate(parts) for parts in zip(*brackets))
+
+
+def most_probable_times(state0: TwoModeState, params: ModelParams, ks) -> np.ndarray:
+    """Times t_m(k) maximizing P(k, t), one for each k of ``ks``.
 
     k = 0 has its maximum at the boundary t = 0.  For k >= 1, P depends on t
     only through the increasing u = 2g(t).  Each populated component
     Poisson(k; u N^2) peaks at u = k / N^2, so every maximum of P lies in
-    [k / N_max^2, k / N_min^2].  A log grid with about four samples per
-    component width u / sqrt(k) lands within 1/8 width of every peak; each
-    grid maximum within 2% of the best is refined by bisecting the slope
-    sum_N P_N Poisson(k; u N^2)(k - u N^2), and the highest wins.  Peaks
-    within a relative 1e-13 of the highest, the accuracy of the pmf, are ties
-    and go to the smaller u, so rounding cannot pick the peak.  Then
-    g_core(gamma t) = c := u gamma^2 / (4 chi^2) is solved by bisection in
-    [0, c + 3] (g_core(x) >= x - 3) to float resolution.
+    [k / N_max^2, k / N_min^2].  A log grid per k with about four samples
+    per component width u / sqrt(k) lands within 1/8 width of every peak;
+    each grid maximum within 2% of the best is refined by bisecting the
+    slope sum_N P_N Poisson(k; u N^2)(k - u N^2), every k in one bisection,
+    and the highest wins.  Peaks within a relative 1e-13 of the highest, the
+    accuracy of the pmf, are ties and go to the smaller u, so rounding cannot
+    pick the peak.  Then g_core(gamma t) = c := u gamma^2 / (4 chi^2) is
+    solved by bisection in [0, c + 3] (g_core(x) >= x - 3) to float
+    resolution.  Raises ValueError, naming the rates, when c or t_m is not a
+    positive finite float.
     """
-    _check_int("k", k, 0)
-    if k == 0:
-        return 0.0
-    weights, n_sq = sector_means(state0, 1.0)  # means per unit u: N^2
-    populated = (n_sq > 0) & (weights > 0)
-    if not np.any(populated):
-        raise ImpossibleOutcomeError(f"P(k={k}, t) vanishes identically for this state")
-    weights, n_sq = weights[populated], n_sq[populated]
-    lo, hi = k / n_sq[-1], k / n_sq[0]
-    grid = np.geomspace(lo, hi, int(4.0 * math.sqrt(k) * math.log(hi / lo)) + 3)
-    vals = mixture_pmf(weights, np.multiply.outer(grid, n_sq), k)
-    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
-    top = (vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= 0.98 * vals.max())
-    fenced = np.concatenate(([lo], grid, [hi]))  # grid[i] lies in [fenced[i], fenced[i + 2]]
+    ks = list(ks)
+    for k in ks:
+        _check_int("k", k, 0)
+    counted = sorted({k for k in ks if k > 0})
+    peak_u = {}
+    if counted:
+        weights, n_sq = sector_means(state0, 1.0)  # means per unit u: N^2
+        populated = (n_sq > 0) & (weights > 0)
+        if not np.any(populated):
+            raise ImpossibleOutcomeError(f"P(k={counted[0]}, t) vanishes identically for this state")
+        weights, n_sq = weights[populated], n_sq[populated]
+        k_of = np.array(counted)[:, None]
+        lo, hi, index = _grid_peaks(weights, n_sq, k_of[:, 0])
 
-    def rising(u):
-        means = np.multiply.outer(u, n_sq)
-        return mixture_pmf(weights * (k - means), means, k) > 0
+        def rising(u, rows):
+            means = np.multiply.outer(u, n_sq)
+            return mixture_pmf(weights * (k_of[index[rows]] - means), means, k_of[index[rows]]) > 0
 
-    u = _bisect(rising, fenced[:-2][top], fenced[2:][top])
-    peaks = mixture_pmf(weights, np.multiply.outer(u, n_sq), k)
-    u_star = np.min(u[peaks >= (1.0 - 1e-13) * peaks.max()])
-    target = float(u_star * params.gamma**2 / (4.0 * params.chi**2))
-    lo, hi = 0.0, target + 3.0  # the steps of `_bisect`, in plain floats
-    while (mid := (lo + hi) / 2.0) not in (lo, hi):
-        lo, hi = (mid, hi) if _g_core(mid) < target else (lo, mid)
-    return lo / params.gamma
+        u = _bisect(rising, lo, hi, index)
+        peaks = mixture_pmf(weights, np.multiply.outer(u, n_sq), k_of[index])
+        starts = np.unique(index, return_index=True)[1]
+        ties = peaks >= (1.0 - 1e-13) * np.maximum.reduceat(peaks, starts)[index]
+        peak_u = dict(zip(counted, np.minimum.reduceat(np.where(ties, u, np.inf), starts).tolist()))
+    times = {0: 0.0}
+    for k, u_star in peak_u.items():
+        target = u_star * params.gamma**2 / (4.0 * params.chi**2)
+        lo = 0.0
+        if 0.0 < target < math.inf:
+            hi = target + 3.0  # the steps of `_bisect`, in plain floats
+            while (mid := (lo + hi) / 2.0) not in (lo, hi):
+                lo, hi = (mid, hi) if _g_core(mid) < target else (lo, mid)
+        times[k] = lo / params.gamma
+        if not 0.0 < times[k] < math.inf:
+            raise ValueError(
+                f"the peak time of k={k} is not a positive float at chi={params.chi!r}, gamma={params.gamma!r}"
+            )
+    return np.array([times[k] for k in ks])
+
+
+def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> float:
+    """Time t_m maximizing P(k, t); see `most_probable_times`."""
+    return float(most_probable_times(state0, params, [k])[0])
 
 
 def count_mean_variance(state0: TwoModeState, params: ModelParams, t: float) -> tuple[float, float]:
@@ -258,8 +316,7 @@ def entanglement_scan(
     if not k_list:
         raise ValueError("k_list must be nonempty")
     rows = []
-    for k in k_list:
-        t_m = most_probable_time(state0, params, k)
+    for k, t_m in zip(k_list, most_probable_times(state0, params, k_list).tolist()):
         short = short_time_state(state0, params.lam, 0.0, k)
         short_a, short_b, short_ab = _sector_entropies(short, _dephasing(short.n_max, 0.0))
         kern = eval_kernels(params, t_m)

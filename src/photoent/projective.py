@@ -68,8 +68,12 @@ def _poisson_pmf(k, means):
         _log_factorials = np.array([math.lgamma(j + 1.0) for j in range(2 * int(np.max(k)) + 1)])
     log_k_factorial = _log_factorials[k] if isinstance(k, np.ndarray) else math.lgamma(k + 1.0)
     positive = means > 0
-    log_pmf = k * np.log(np.where(positive, means, 1.0)) - log_k_factorial - means
-    return np.exp(log_pmf) * (positive | (k == 0))
+    log_pmf = k * np.log(np.where(positive, means, 1.0))
+    log_pmf -= log_k_factorial
+    log_pmf -= means
+    # exp underflows to 0 below -745.14, where numpy's exp is slow: skip it there
+    pmf = np.exp(log_pmf, out=np.zeros_like(log_pmf), where=~(log_pmf < -746.0))
+    return pmf * (positive | (k == 0))
 
 
 def mixture_pmf(weights: np.ndarray, means: np.ndarray, k: int) -> float:

@@ -345,6 +345,20 @@ class TestConfigValidation:
         assert f"{field} must be a positive normal float" in capsys.readouterr().err
         assert not any(path.is_file() for path in (tmp_path / "out").rglob("*"))
 
+    @pytest.mark.parametrize("command", ["count-dist", "scan"])
+    def test_accepted_rates_without_a_float_peak_time_exit_2(self, tmp_path, capsys, command):
+        # the inversion of g overflowed here, and both wrote t_m = 0
+        cfg = write_config(
+            tmp_path,
+            state={"kind": "superposition", "entries": [[1, 0, 1.0, 0.0], [0, 2, 1.0, 0.0], [2, 2, 1.0, 0.0]]},
+            params={"lambda": 0.0, "chi": 1.0, "gamma": 6e153},
+            grids={"gamma_t": [0.5], "k": [0, 100]},
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "is not a positive float at chi=1.0, gamma=6e+153" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "state,field",
         [
@@ -425,7 +439,7 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
         assert field in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_non_finite_time_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, grids={"gamma_t": [0.5, math.nan]})
@@ -491,6 +505,21 @@ def test_cli_and_oracles_run_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]", "True True 100 []"]
+
+
+def test_cli_import_loads_neither_oracle_nor_probe():
+    # each subcommand imports what only it needs: oracle-check the oracles,
+    # probe the probe pipeline
+    code = (
+        "import sys\n"
+        "import photoent.cli\n"
+        "print(sorted(m for m in sys.modules if m in ('photoent.oracle', 'photoent.probe')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 def _run_entry_point(command, env):

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,17 @@ class TestQuadrature:
         s = make_number_state(1, 0, 2, 2)
         with pytest.raises(ValueError):
             p_k_quadrature(s, P, 1.0, 3)
+
+    def test_huge_time_builds_only_its_own_weights(self):
+        # every k's weights were built, so k = 0, 1 warned of the k = 2
+        # weights' overflow; k = 2's own weights grow as t^2
+        s = make_superposition([(1, 0, 1), (0, 2, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0, 1):
+                assert p_k_quadrature(s, P, 1e300, k) == count_probability(s, P, 1e300, k) == 0.0
+            with pytest.raises(ValueError, match=r"t=1e\+300"):
+                p_k_quadrature(s, P, 1e300, 2)
 
     def test_small_time_completeness(self):
         # at u N_max^2 ~ 2e-3 the mass beyond k = 2 is ~1e-9

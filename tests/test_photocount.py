@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +32,14 @@ from photoent import (
     short_time_state,
 )
 from photoent.fock import ImpossibleOutcomeError
-from photoent.photocount import count_cutoff, count_distribution
+from photoent.photocount import count_cutoff, count_distribution, most_probable_times
 from photoent.projective import mixture_pmf, sector_means
 
 from conftest import random_state
 from crosschecks import apply_mixing_series, conditioned_trace
 
 P = ModelParams(lam=0.0, chi=0.5, gamma=1.0)
+PEAK_TIMES = Path(__file__).parent / "data" / "peak_times.json"
 
 
 class TestKernels:
@@ -96,6 +99,20 @@ class TestKernels:
             [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_trace_identity_at_strong_coupling(self):
+        # at chi/gamma = 1e8 the peak of k = 1 on |1,0> + |0,2> + |2,2> sits at
+        # gamma t = 3.3e-6, where 2h and mu are 1e6 times u and their rounding
+        # alone (2.9e-12) exceeded the old bound 1e-12 max(1, u)
+        params = ModelParams(lam=0.0, chi=1e8, gamma=1.0)
+        kern = eval_kernels(params, 3.2626246899696194e-06)
+        assert abs(kern.u - 0.11576561122199602) < 1e-12  # the peak's u at chi = gamma = 1
+
+    def test_kernels_that_overflow_raise_value_error(self):
+        # chi^2/gamma^2 = 1e308 is accepted, but mu = 4 chi^2/gamma^2 (...)^2 overflows
+        params = ModelParams(lam=0.0, chi=1e150, gamma=1e-4)
+        with pytest.raises(ValueError, match=r"chi=1e\+150, gamma=0.0001"):
+            eval_kernels(params, 1e-99)
 
     def test_monitor_label_factor(self):
         t = 0.8
@@ -336,6 +353,24 @@ class TestMostProbableTime:
         t_m = most_probable_time(s, params, k)
         assert count_probability(s, params, t_m, k) >= (1.0 - 1e-9) * fine_grid_peak(s, k)
 
+    def test_times_follow_the_order_of_ks(self):
+        s = make_coherent_product(1.0, 1.5, eps_trunc=1e-10)
+        ks = [3, 0, 7, 3, 1]
+        assert most_probable_times(s, P, ks).tolist() == [most_probable_time(s, P, k) for k in ks]
+
+    @pytest.mark.parametrize("case", ["readme", "three_sectors", "vacuum_and_pairs", "even_sectors"])
+    def test_all_k_search_reproduces_the_per_k_search(self, case):
+        # recorded by the search that ran once per k; the README state's
+        # k = 1..1925 are the peak times `count-dist` writes without grids.k
+        c = json.loads(PEAK_TIMES.read_text())["cases"][case]
+        if "coherent" in c:
+            a, b = c["coherent"]
+            s = make_coherent_product(complex(a), complex(b), eps_trunc=c["eps_trunc"])
+        else:
+            s = make_superposition([(m, n, complex(re, im)) for m, n, re, im in c["entries"]])
+        times = most_probable_times(s, ModelParams(*c["params"]), range(1, c["k_max"] + 1))
+        assert times.tolist() == c["t_m"]
+
     def test_near_tied_sector_peaks_go_to_the_smaller_u(self):
         # the N = 2 and N = 4 peaks (u = k/4, k/16) agree to < 1e-14 here, so
         # a bitwise argmax picked N = 2 at k = 20, 21, 23 and N = 4 at 22, 24
@@ -377,6 +412,28 @@ def superpositions(draw):
 def test_peak_time_is_the_global_peak(state, k):
     t_m = most_probable_time(state, P, k)
     assert count_probability(state, P, t_m, k) >= (1.0 - 1e-9) * fine_grid_peak(state, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-155.0, 155.0), st.floats(-155.0, 155.0), st.integers(min_value=1, max_value=100))
+def test_peak_time_at_any_accepted_rates(log_chi, log_gamma, k):
+    # a peak time where P(k) is positive, or a ValueError naming the rates, and
+    # no warning; at chi = 1, gamma = 6e153, k = 100 the inversion of g
+    # overflowed to t_m = 0
+    try:
+        params = ModelParams(lam=0.0, chi=10.0**log_chi, gamma=10.0**log_gamma)
+    except ValueError:
+        assume(False)
+    state = make_superposition([(1, 0, 1), (0, 2, 1), (2, 2, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            t_m = most_probable_time(state, params, k)
+            p = count_probability(state, params, t_m, k)
+        except ValueError as exc:
+            assert f"chi={params.chi!r}, gamma={params.gamma!r}" in str(exc)
+            return
+    assert 0.0 < t_m < math.inf and p > 0.0
 
 
 class TestCountMeanVariance:
