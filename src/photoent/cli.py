@@ -77,12 +77,15 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path: Path, header: list[str], rows: list[list], cfg_hash: str) -> None:
-    """Floats are written by `_fmt`, other cells by str(); a caller passes
-    a value it repeats on many rows as its `_fmt` string, formatted once."""
+def write_csv(path: Path, header: list[str], rows: list[list | str], cfg_hash: str) -> None:
+    """Floats are written by `_fmt`, other cells by str().  A row is a list
+    of cells or the whole line as a str, so a caller formats the cells it
+    repeats on many rows once."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
+        if not isinstance(row, str):
+            row = ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+        lines.append(row)
     lines.append(f"# config_sha256={cfg_hash}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -467,8 +470,8 @@ def cmd_sample(cfg: dict, out: Path, args) -> int:
     gt = _as_float(section["gamma_t"], "sample.gamma_t")
     t = gt / params.gamma
     n = _as_int(section["n_samples"], "sample.n_samples")
-    t_cell, weight = _fmt(t), _fmt(1.0)
-    rows = [[k, t_cell, weight] for k in sample_counts(state, params, t, n, seed).tolist()]
+    tail = f",{_fmt(t)},{_fmt(1.0)}"  # t and the weight 1 on every row
+    rows = [f"{k}{tail}" for k in sample_counts(state, params, t, n, seed).tolist()]
     write_csv(out / "sample.csv", ["k", "t", "weight"], rows, config_sha256(cfg))
     return 0
 

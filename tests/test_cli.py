@@ -296,6 +296,16 @@ class TestSample:
         assert main(["sample", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "sample.csv").read_bytes() == (out2 / "sample.csv").read_bytes()
 
+    def test_rows_are_the_seeded_counts_with_t_and_unit_weight(self, tmp_path):
+        cfg = write_config(
+            tmp_path, params={"lambda": 0.0, "chi": 0.5, "gamma": 3.0}, sample={"gamma_t": 1.0, "n_samples": 300}, seed=7
+        )
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "sample.csv")
+        ks = photoent.sample_counts(build_state(load_config(cfg)), build_params(load_config(cfg)), 1.0 / 3.0, 300, 7)
+        assert header == ["k", "t", "weight"]
+        assert rows == [[str(k), f"{1.0 / 3.0:.17g}", "1"] for k in ks.tolist()]
+
     def test_zero_time_all_zero_counts(self, tmp_path):
         cfg = write_config(tmp_path, sample={"gamma_t": 0.0, "n_samples": 50}, seed=7)
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
