@@ -31,6 +31,7 @@ from .fock import (
     ResourceLimitError,
     TwoModeState,
     _check_int,
+    _check_size,
     make_coherent_product,
     make_number_state,
     make_superposition,
@@ -44,7 +45,7 @@ from .photocount import (
     postselect_density,
     sample_counts,
 )
-from .projective import pm_count_cutoff, pm_distribution_row
+from .projective import _pm_u, mixture_table, pm_count_cutoff
 
 
 class ConfigError(ValueError):
@@ -218,10 +219,13 @@ def gamma_t_grid(cfg: dict) -> np.ndarray:
 def k_list(cfg: dict, default_max: int) -> list[int]:
     entry = cfg.get("grids", {}).get("k")
     if entry is None:
+        _check_size(f"the count range k = 0..{default_max}", default_max + 1)
         return list(range(default_max + 1))
     if isinstance(entry, dict):
         _require(entry, "grids.k", {"max"}, {"max"})
-        entry = list(range(_as_int(entry["max"], "grids.k.max") + 1))
+        k_max = _as_int(entry["max"], "grids.k.max")
+        _check_size(f"grids.k.max = {k_max}", k_max + 1)
+        entry = list(range(k_max + 1))
     if not isinstance(entry, list):
         raise ConfigError("grids.k must be a list or {max}")
     ks = [_as_int(k, "grids.k") for k in entry]
@@ -253,9 +257,9 @@ def cmd_pm_dist(cfg: dict, out: Path, args) -> int:
     grid = gamma_t_grid(cfg)
     explicit = cfg.get("grids", {}).get("k") is not None
     ks = k_list(cfg, 0 if explicit else pm_count_cutoff(state, params.chi, float(np.max(grid)) / params.gamma))
+    table = mixture_table(state, [_pm_u(params.chi, gt / params.gamma) for gt in grid], max(ks))
     rows = []
-    for gt in grid:
-        row = pm_distribution_row(state, params.chi, gt / params.gamma, max(ks))
+    for gt, row in zip(grid, table):
         gt_cell, checksum = _fmt(float(gt)), _fmt(math.fsum(row))
         probs = row.tolist()
         for k in ks:

@@ -11,6 +11,14 @@ Conventions used throughout the package:
 * the total photon number ``N = m + n`` is conserved by every evolution in
   this package, so many quantities reduce to the anti-diagonal weights
   ``P_N = sum_{m+n=N} |C[m, n]|^2``.
+
+The beam splitter exp(-i lam t (a†b + ab†)) is a two-term stencil on the
+coefficient grid that keeps N; `apply_beam_splitter` sums its Chebyshev
+series (Tal-Ezer & Kosloff 1984) by Clenshaw's recurrence over the whole
+grid, with no eigendecomposition and nothing cached, at a cost linear in
+lam t n_max up to `SERIES_WORK_BUDGET`.  The sizes a request sets (a count
+range, a count table, a sample) are checked against `MAX_ENTRIES` before
+anything is allocated; past either budget `ResourceLimitError` is raised.
 """
 
 from __future__ import annotations
@@ -18,13 +26,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 
 DEFAULT_EPS_TRUNC = 1e-8
 DEFAULT_MAX_DIM = 1024
+# grid cells times Chebyshev terms allowed in one `apply_beam_splitter` call
+SERIES_WORK_BUDGET = 1e9
+# entries of one array whose size a request sets: a k range, a (k x sector)
+# count table, a sample
+MAX_ENTRIES = 10**7
 
 
 class ResourceLimitError(RuntimeError):
@@ -47,6 +59,13 @@ def _check_time(t: float, positive: bool = False) -> None:
 def _check_int(name: str, value: int, low: int, high: float = math.inf) -> None:
     if isinstance(value, bool) or not (isinstance(value, Integral) and low <= value <= high):
         raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def _check_size(field: str, size: int) -> None:
+    """Raise ResourceLimitError when ``field`` asks for more than MAX_ENTRIES
+    entries; called before the array is allocated."""
+    if size > MAX_ENTRIES:
+        raise ResourceLimitError(f"{field} asks for {size:,} entries, beyond the budget of {MAX_ENTRIES:,}")
 
 
 @dataclass(frozen=True)
@@ -309,37 +328,84 @@ def make_two_mode_squeezed(r: float, n_max: int) -> TwoModeState:
     return make_superposition(entries)
 
 
-@lru_cache(maxsize=None)
-def _bs_block_eig(d_a: int, d_b: int, total: int):
-    """Eigen-decomposition of the exchange generator a†b + ab† restricted to
-    the block of fixed total photon number, within the given cutoffs."""
-    m_lo = max(0, total - (d_b - 1))
-    m_hi = min(d_a - 1, total)
-    ms = np.arange(m_lo, m_hi + 1)
-    off = np.sqrt((ms[:-1] + 1.0) * (total - ms[:-1]))
-    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return ms, w, v
+def _bessel_j(z: float, top: int) -> np.ndarray:
+    """J_k(z) for k = 0..K, K the last k with |J_k| >= 1e-17, by Miller's
+    backward recurrence from k = top, normalized by J_0 + 2 sum_k J_2k = 1.
+    It runs on the ratios J_k / J_(k-1) = z / (2k - z J_(k+1) / J_k), which
+    neither overflow nor divide by z: a tiny z gives [1.0]."""
+    ratios = np.empty(top)
+    ratio = 0.0
+    for k in range(top, 0, -1):
+        ratio = z / (2.0 * k - z * ratio)
+        ratios[k - 1] = ratio
+    j = np.concatenate(([1.0], np.cumprod(ratios)))
+    j /= j[0] + 2.0 * np.sum(j[2::2])
+    return j[: np.flatnonzero(np.abs(j) >= 1e-17)[-1] + 1]
 
 
 def apply_beam_splitter(state: TwoModeState, lam: float, t: float) -> TwoModeState:
-    """Evolve by exp(-i lam t (a†b + ab†)), block by block in total photon
-    number.  The distribution of N = m + n is left exactly unchanged.
+    """Evolve by exp(-i theta G), theta = lam t, G = a†b + ab†, through the
+    Chebyshev series sum_k (2 - delta_k0) (-i)^k J_k(theta r) T_k(G / r),
+    r = n_max, summed by Clenshaw's recurrence over the whole grid at once.
 
-    Blocks truncated by the corner of the rectangular grid (N > min cutoff)
-    evolve unitarily within their restriction; use `pad_state` first when the
-    corner mass matters.
+    On the grid G is the stencil (G C)[m, n] = sqrt(m (n+1)) C[m-1, n+1]
+    + sqrt((m+1) n) C[m+1, n-1]: it never mixes N = m + n, so the
+    distribution of N changes only by rounding, and every block's spectrum
+    lies in [-N, N].  Blocks cut by the corner of the grid (N > min cutoff)
+    evolve within their restriction; use `pad_state` first when the corner
+    mass matters.  The series stops where |J_k| < 1e-17, after about
+    theta n_max + 16 (theta n_max)^(1/3) terms, each a pass over three
+    grid-sized buffers; a call whose terms times grid cells would exceed
+    `SERIES_WORK_BUDGET` raises `ResourceLimitError` before any of them.
     """
     theta = lam * t
     if theta == 0.0:
         return state
-    out = np.array(state.coeffs, copy=True)
-    for total in range(state.n_max + 1):
-        ms, w, v = _bs_block_eig(state.d_a, state.d_b, total)
-        vec = out[ms, total - ms]
-        if len(ms) == 1:
-            continue  # single-element block: generator vanishes
-        out[ms, total - ms] = v @ (np.exp(-1j * theta * w) * (v.T @ vec))
-    return TwoModeState(out, trunc_weight=state.trunc_weight)
+    d_a, d_b, radius = state.d_a, state.d_b, max(state.n_max, 1)
+    z = theta * radius
+    # rows of d_b + 1 cells (the last one zero) between d_b zero cells at
+    # either end, so that C[m -+ 1, n +- 1] is a flat shift by -+d_b
+    size, shift = d_a * (d_b + 1), d_b
+    # Miller's start: |J_k(z)| < 1e-17 beyond |z| + 16 max(|z|, 1)^(1/3), ten to spare
+    terms = abs(z) + 16.0 * max(abs(z), 1.0) ** (1 / 3) + 10.0
+    if not terms * (size + 2 * shift) <= SERIES_WORK_BUDGET:
+        raise ResourceLimitError(
+            f"the beam splitter at lambda t = {theta!r} on n_max = {state.n_max} needs about "
+            f"{terms:.3g} series terms over {size + 2 * shift} grid cells, beyond the budget "
+            f"of {SERIES_WORK_BUDGET:.3g} cell terms"
+        )
+    # a_k v = (-i)^k J_k v is +-J_k v for even k and +-J_k (-i v) for odd k, the
+    # sign + where k mod 4 < 2; rows 0-1 of `source` are v = (Re C, Im C), rows 1-2 -i v
+    signed = _bessel_j(z, math.ceil(terms))
+    signed[2::4] *= -1.0
+    signed[3::4] *= -1.0
+    source = np.zeros((3, size))
+    grid = source.reshape(3, d_a, d_b + 1)[:, :, :d_b]
+    grid[0], grid[1], grid[2] = state.coeffs.real, state.coeffs.imag, -state.coeffs.real
+    m, n = np.arange(d_a)[:, None], np.arange(d_b + 1)[None, :]
+    inside = (2.0 / radius) * (n < d_b)  # 2 G / r, zero on the padding column
+    lower = (inside * np.sqrt(m * (n + 1.0))).ravel()
+    upper = (inside * np.sqrt((m + 1.0) * n)).ravel()
+    # b_k = a_k v + (2 G / r) b_(k+1) - b_(k+2); the sum is b_0 - b_2, so the
+    # last step subtracts b_2 twice
+    def views(buf):  # C[m - 1, n + 1], C[m + 1, n - 1] and C[m, n] of a buffer
+        return buf[:, :size], buf[:, 2 * shift :], buf[:, shift : shift + size]
+
+    b1, b2 = views(np.zeros((2, size + 2 * shift))), views(np.zeros((2, size + 2 * shift)))
+    sources, tmp = (source[0:2], source[1:3]), np.empty((2, size))
+    for k in range(len(signed) - 1, -1, -1):
+        inner = b2[2]
+        if k == 0:
+            inner *= 2.0
+        np.multiply(b1[0], lower, out=tmp)
+        np.subtract(tmp, inner, out=inner)
+        np.multiply(b1[1], upper, out=tmp)
+        inner += tmp
+        np.multiply(sources[k & 1], signed[k], out=tmp)
+        inner += tmp
+        b1, b2 = b2, b1
+    out = inner.reshape(2, d_a, d_b + 1)[:, :, :d_b]
+    return TwoModeState(out[0] + 1j * out[1], trunc_weight=state.trunc_weight)
 
 
 def number_weights(source: TwoModeState | DephasedState) -> np.ndarray:

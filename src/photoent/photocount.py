@@ -47,7 +47,7 @@ from .projective import (
     mixture_cutoff,
     mixture_moments,
     mixture_pmf,
-    mixture_pmf_row,
+    mixture_table,
     postselect_pure,
     reweight_sectors,
     sample_mixture,
@@ -158,8 +158,7 @@ def count_distribution_row(
     state0: TwoModeState, params: ModelParams, t: float, k_max: int
 ) -> np.ndarray:
     """P(k, t) for k = 0..k_max; row-vectorized version of `count_probability`."""
-    _check_int("k_max", k_max, 0)
-    return mixture_pmf_row(*sector_means(state0, eval_kernels(params, t).u), k_max)
+    return mixture_table(state0, [eval_kernels(params, t).u], k_max)[0]
 
 
 def postselect_density(state0: TwoModeState, params: ModelParams, t: float, k: int) -> DephasedState:
@@ -349,7 +348,7 @@ def count_distribution(
     if k_max is None:  # the omitted mass grows with u = 2g(t), so the last time needs the most
         k_max = count_cutoff(state0, params, times[-1])
     ks = np.arange(k_max + 1)
-    values = np.array([count_distribution_row(state0, params, t, k_max) for t in times])
+    values = mixture_table(state0, [eval_kernels(params, t).u for t in times], k_max)
     return CountDistribution(
         chi=params.chi,
         gamma=params.gamma,

@@ -26,6 +26,7 @@ from .fock import (
     ImpossibleOutcomeError,
     TwoModeState,
     _check_int,
+    _check_size,
     _check_time,
     _totals,
     apply_beam_splitter,
@@ -86,6 +87,16 @@ def mixture_pmf_row(weights: np.ndarray, means: np.ndarray, k_max: int) -> np.nd
     """P(k) for all k = 0..k_max at once (same mixture as `mixture_pmf`)."""
     ks = np.arange(k_max + 1)
     return _poisson_pmf(ks[:, None], means[None, :]) @ weights
+
+
+def mixture_table(state0: TwoModeState, us, k_max: int) -> np.ndarray:
+    """`mixture_pmf_row` at each u of ``us``, one row per u, from one pass
+    over the sector weights: the means u N^2 are u times those at u = 1,
+    bit for bit."""
+    _check_int("k_max", k_max, 0)
+    weights, n_sq = sector_means(state0, 1.0)
+    _check_size(f"the count table of k = 0..{k_max} over {len(weights)} sectors", (k_max + 1) * len(weights))
+    return np.array([mixture_pmf_row(weights, u * n_sq, k_max) for u in us])
 
 
 def k_cutoff(mean_max: float, tail: float = TAIL_MASS) -> int:
@@ -156,6 +167,7 @@ def sample_mixture(state0: TwoModeState, u: float, n_samples: int, seed: int) ->
     k ~ Poisson(u N^2)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    _check_size("n_samples", n_samples)
     rng = np.random.default_rng(seed)
     weights = number_weights(state0)
     probs = weights / np.sum(weights)
@@ -217,8 +229,7 @@ def pm_count_cutoff(state0: TwoModeState, chi: float, t: float, tail: float = TA
 
 def pm_distribution_row(state0: TwoModeState, chi: float, t: float, k_max: int) -> np.ndarray:
     """P(k, t) for k = 0..k_max; row-vectorized version of `pm_probability`."""
-    _check_int("k_max", k_max, 0)
-    return mixture_pmf_row(*sector_means(state0, _pm_u(chi, t)), k_max)
+    return mixture_table(state0, [_pm_u(chi, t)], k_max)[0]
 
 
 def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int) -> PmOutcome:

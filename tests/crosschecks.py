@@ -22,7 +22,7 @@ from photoent import (
     number_weights,
     partial_trace,
 )
-from photoent.fock import ConvergenceError, _bs_block_eig
+from photoent.fock import ConvergenceError
 from photoent.oracle import _monitor_generator, monitor_dim
 
 
@@ -143,6 +143,16 @@ def embed_with_monitor(state: TwoModeState, params: ModelParams, d_c: int | None
     return ThreeModeState(coeffs)
 
 
+def exchange_block_eig(d_a: int, d_b: int, total: int):
+    """Eigendecomposition of the exchange generator a†b + ab† restricted to
+    the block of fixed total photon number within the cutoffs: the block's
+    m values, eigenvalues and eigenvectors."""
+    ms = np.arange(max(0, total - (d_b - 1)), min(d_a - 1, total) + 1)
+    off = np.sqrt((ms[:-1] + 1.0) * (total - ms[:-1]))
+    w, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return ms, w, v
+
+
 def no_count_evolution(state: ThreeModeState, params: ModelParams, dt: float) -> ThreeModeState:
     """Propagate by the no-count semigroup exp(Y dt), sector by sector as
     (exchange block unitary) (x) U expm(W_N dt) U†.  Norm nonincreasing."""
@@ -155,7 +165,7 @@ def no_count_evolution(state: ThreeModeState, params: ModelParams, dt: float) ->
     theta = params.lam * dt
     phase = np.array([1.0, -1j, -1.0, 1j])[np.arange(d_c) % 4]  # U = diag((-i)^p), exact
     for total in range(d_a + d_b - 1):
-        ms, w, v = _bs_block_eig(d_a, d_b, total)
+        ms, w, v = exchange_block_eig(d_a, d_b, total)
         block = out[ms, total - ms, :]
         if not np.any(block):
             continue

@@ -130,6 +130,17 @@ class TestScan:
         excess = [float(r[3]) for r in rows]
         assert excess[2] > excess[1] > excess[0]
 
+    def test_beam_splitter_beyond_its_budget_exits_3(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            state={"kind": "coherent", "alpha": 1.0, "beta": 1.0},
+            params={"lambda": 1e12, "chi": 0.5, "gamma": 1.0},
+            grids={"k": [1, 2]},
+        )
+        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "beyond the budget" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestOracleCheck:
     def test_small_space_passes(self, tmp_path):
@@ -493,6 +504,52 @@ def _package_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return env
+
+
+README_STATE = {"kind": "coherent", "alpha": 2.2360679774997896, "beta": 2.2360679774997896}
+README_PARAMS = {"lambda": 0.0, "chi": 0.967, "gamma": 1.0}
+UP_TO_1000 = {"gamma_t": {"start": 0.0, "stop": 1000.0, "num": 81}}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("pm-dist", {"grids": UP_TO_1000}, "the count range k = 0..1422278919"),
+        ("count-dist", {"grids": UP_TO_1000}, "the count table of k = 0..5672554 over 45 sectors"),
+        ("scan", {"grids": {"k": {"max": 10**12}}}, "grids.k.max = 1000000000000"),
+        ("sample", {"sample": {"gamma_t": 1.0, "n_samples": 10**12}, "seed": 1}, "n_samples"),
+    ],
+)
+def test_oversized_requests_exit_3_within_a_second(tmp_path, command, overrides, field):
+    # each size is checked before it is allocated, so under a 3 GB address
+    # space (set in the child only) the run exits 3 with a message, not a
+    # MemoryError traceback
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    cfg = write_config(tmp_path, state=README_STATE, params=README_PARAMS, **overrides)
+    code = (
+        "import sys, time\n"
+        "from photoent.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {field} asks for ")
+    assert proc.stderr.rstrip().endswith("beyond the budget of 10,000,000")
+    assert float(proc.stdout) < 1.0
 
 
 def test_cli_and_oracles_run_without_scipy():

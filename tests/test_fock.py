@@ -1,8 +1,13 @@
 import math
 import re
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photoent import (
     DephasedState,
@@ -201,6 +206,62 @@ class TestBeamSplitter:
         one = apply_beam_splitter(apply_beam_splitter(s, 1.1, 0.4), 1.1, 0.9)
         two = apply_beam_splitter(s, 1.1, 1.3)
         assert np.max(np.abs(one.coeffs - two.coeffs)) < 1e-10
+
+
+def _full_generator(d_a: int, d_b: int) -> np.ndarray:
+    a = np.kron(np.diag(np.sqrt(np.arange(1.0, d_a)), 1), np.eye(d_b))
+    b = np.kron(np.eye(d_a), np.diag(np.sqrt(np.arange(1.0, d_b)), 1))
+    return a.T @ b + a @ b.T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 11),
+    st.booleans(),
+    st.one_of(st.just(0.0), st.floats(-300.0, -8.0).map(lambda e: 10.0**e), st.floats(0.0, 10.0)),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 11, False, 3.0, 0)
+@example(1, 11, True, 3.0, 0)
+@example(1, 1, False, 2.0, 0)
+@example(9, 11, False, 5e-324, 0)
+def test_series_matches_expm_of_the_full_generator(d_a, d_b, transpose, theta, seed):
+    # every shape up to 9 x 11 either way round, 1 x d and d x 1 included,
+    # at theta = 0, at tiny theta and up to theta = 10, without a RuntimeWarning
+    from scipy.linalg import expm
+
+    if transpose:
+        d_a, d_b = d_b, d_a
+    s = random_state(np.random.default_rng(seed), d_a, d_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = apply_beam_splitter(s, theta, 1.0).coeffs.ravel()
+    expected = expm(-1j * theta * _full_generator(d_a, d_b)) @ s.coeffs.ravel()
+    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+class TestBeamSplitterResources:
+    def test_nothing_stays_allocated_but_the_result(self):
+        # d = 116 x 99: no per-shape table or cache outlives the call
+        apply_beam_splitter(make_coherent_product(2.0, 1.5), 0.3, 0.5)  # first-call set-up elsewhere
+        s = make_coherent_product(8.0, math.sqrt(52.0))
+        assert (s.d_a, s.d_b) == (116, 99)
+        tracemalloc.start()
+        try:
+            out = apply_beam_splitter(s, 0.3, 0.8)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.coeffs.nbytes <= held < out.coeffs.nbytes + 16_384, held
+
+    @pytest.mark.parametrize("lam, t", [(1e12, 1.0), (1e300, 1e300)])
+    def test_huge_lambda_t_raises_before_any_work(self, lam, t):
+        s = make_coherent_product(2.0, 1.5)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=rf"lambda t = .* on n_max = {s.n_max} .* beyond the budget"):
+            apply_beam_splitter(s, lam, t)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestDensities:

@@ -33,7 +33,7 @@ from photoent import (
 )
 from photoent.fock import ImpossibleOutcomeError
 from photoent.photocount import count_cutoff, count_distribution, most_probable_times
-from photoent.projective import mixture_pmf, sector_means
+from photoent.projective import mixture_pmf, mixture_pmf_row, sector_means
 
 from conftest import random_state
 from crosschecks import apply_mixing_series, conditioned_trace
@@ -532,6 +532,17 @@ def test_count_cutoff_follows_the_populated_sectors():
         assert k_cutoff(eval_kernels(params, gamma_t).u * s.n_max**2) == bound
         row = count_distribution_row(s, params, gamma_t, kmax)
         assert abs(math.fsum(row) - (1.0 - s.trunc_weight)) <= 2e-12  # tail + rounding
+
+
+@pytest.mark.parametrize("k_max", [None, 12])
+def test_count_table_is_bitwise_the_rows(k_max):
+    # count_distribution takes the sector weights once for all its rows
+    s = make_coherent_product(2.0, 1.5 + 0.5j, eps_trunc=1e-12)
+    params = ModelParams(lam=0.2, chi=0.967, gamma=1.0)
+    times = np.linspace(0.0, 2.0, 9)
+    dist = count_distribution(s, params, times, k_max=k_max)
+    rows = [mixture_pmf_row(*sector_means(s, eval_kernels(params, t).u), int(dist.k_range[-1])) for t in times]
+    assert np.array_equal(dist.values, rows)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

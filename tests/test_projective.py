@@ -16,15 +16,20 @@ from photoent import (
     pm_postselect,
     pm_probability,
 )
-from photoent.fock import ImpossibleOutcomeError, fix_global_phase
+from photoent.fock import MAX_ENTRIES, ImpossibleOutcomeError, ResourceLimitError, fix_global_phase
 from photoent.projective import (
     DegenerateEstimatorError,
     NonPhysicalInferenceWarning,
+    _pm_u,
     coherent_count_moments,
     infer_total_mean_photons,
+    mixture_pmf_row,
+    mixture_table,
     pm_count_cutoff,
     pm_distribution_row,
+    sample_mixture,
     sample_pm_counts,
+    sector_means,
 )
 
 from conftest import random_state
@@ -196,6 +201,25 @@ def test_distribution_row_matches_scalar_form(rng):
     row = pm_distribution_row(s, 0.8, 0.9, 12)
     for k in range(13):
         assert abs(row[k] - pm_probability(s, 0.8, 0.9, k)) < 1e-15
+
+
+def test_table_is_bitwise_the_rows():
+    # one pass over the sector weights for every row, the same numbers
+    s = make_coherent_product(2.0, 1.5 + 0.5j, eps_trunc=1e-12)
+    times = [0.0, 0.3, 1.0, 2.5]
+    table = mixture_table(s, [_pm_u(0.9, t) for t in times], 40)
+    assert np.array_equal(table, [mixture_pmf_row(*sector_means(s, _pm_u(0.9, t)), 40) for t in times])
+
+
+def test_sizes_beyond_the_budget_raise_before_allocating():
+    s = make_coherent_product(2.0, 1.5, eps_trunc=1e-12)
+    sectors = s.n_max + 1
+    k_max = MAX_ENTRIES // sectors  # one row more than the budget allows
+    with pytest.raises(ResourceLimitError, match=rf"the count table of k = 0..{k_max} over {sectors} sectors"):
+        mixture_table(s, [1.0], k_max)
+    assert mixture_table(s, [1.0], k_max - 1).shape == (1, k_max)
+    with pytest.raises(ResourceLimitError, match=r"n_samples asks for 10,000,001 entries, beyond the budget of 10,000,000"):
+        sample_mixture(s, 1.0, MAX_ENTRIES + 1, seed=1)
 
 
 def test_count_cutoff_follows_the_populated_sectors():
