@@ -27,7 +27,6 @@ from .fock import (
     make_number_state,
     make_superposition,
     make_two_mode_squeezed,
-    number_moment,
     number_weights,
     partial_trace,
     purity,
@@ -38,7 +37,6 @@ from .photocount import (
     ScanRow,
     SdKernels,
     count_distribution,
-    count_mean_variance,
     count_probability,
     entanglement_scan,
     eval_kernels,
@@ -51,10 +49,8 @@ from .projective import (
     PmOutcome,
     coherent_count_moments,
     infer_total_mean_photons,
-    pm_mean_variance,
     pm_postselect,
     pm_probability,
-    sample_pm_counts,
 )
 
 __all__ = [
@@ -72,7 +68,6 @@ __all__ = [
     "apply_beam_splitter",
     "coherent_count_moments",
     "count_distribution",
-    "count_mean_variance",
     "count_probability",
     "density_from_pure",
     "entanglement_report",
@@ -85,16 +80,13 @@ __all__ = [
     "make_superposition",
     "make_two_mode_squeezed",
     "most_probable_time",
-    "number_moment",
     "number_weights",
     "partial_trace",
-    "pm_mean_variance",
     "pm_postselect",
     "pm_probability",
     "postselect_density",
     "purity",
     "sample_counts",
-    "sample_pm_counts",
     "separable_benchmark",
     "short_time_state",
 ]

@@ -225,7 +225,7 @@ def k_list(cfg: dict, default_max: int) -> list[int]:
         _require(entry, "grids.k", {"max"}, {"max"})
         k_max = _as_int(entry["max"], "grids.k.max")
         _check_size(f"grids.k.max = {k_max}", k_max + 1)
-        entry = list(range(k_max + 1))
+        return list(range(k_max + 1))
     if not isinstance(entry, list):
         raise ConfigError("grids.k must be a list or {max}")
     ks = [_as_int(k, "grids.k") for k in entry]

@@ -17,8 +17,9 @@ coefficient grid that keeps N; `apply_beam_splitter` sums its Chebyshev
 series (Tal-Ezer & Kosloff 1984) by Clenshaw's recurrence over the whole
 grid, with no eigendecomposition and nothing cached, at a cost linear in
 lam t n_max up to `SERIES_WORK_BUDGET`.  The sizes a request sets (a count
-range, a count table, a sample) are checked against `MAX_ENTRIES` before
-anything is allocated; past either budget `ResourceLimitError` is raised.
+range, a count table, a sample, a probe grid) are checked against
+`MAX_ENTRIES` before anything is allocated; past either budget
+`ResourceLimitError` is raised.
 """
 
 from __future__ import annotations
@@ -422,26 +423,17 @@ def number_weights(source: TwoModeState | DephasedState) -> np.ndarray:
     return weights
 
 
-def number_moment(source: TwoModeState | DephasedState, power: int) -> float:
-    """<N^power> of the (renormalized) truncated state."""
-    weights = number_weights(source)
-    total = float(np.sum(weights))
-    n = np.arange(len(weights), dtype=float)
-    return float(np.sum(weights * n**power) / total)
-
-
 def density_from_pure(state: TwoModeState) -> DephasedState:
     return DephasedState(state, np.ones((state.n_max + 1,) * 2))
 
 
 def partial_trace(rho: DephasedState, keep: str) -> np.ndarray:
-    """Reduce to one mode; ``keep`` is "A" or "B".  Trace is preserved."""
-    r = rho.rho.reshape(rho.d_a, rho.d_b, rho.d_a, rho.d_b)
-    if keep == "A":
-        return np.einsum("mnpn->mp", r)
-    if keep == "B":
-        return np.einsum("mnmq->nq", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    """Reduce to one mode; ``keep`` is "A" or "B".  Trace is preserved.
+    The entropy report's marginal, from the sectors of ``rho``."""
+    if keep not in ("A", "B"):
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    c = rho.state.coeffs
+    return _marginal(rho.w, c if keep == "A" else c.T)
 
 
 def purity(mat: np.ndarray) -> float:

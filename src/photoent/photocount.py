@@ -45,7 +45,6 @@ from .fock import (
 from .projective import (
     TAIL_MASS,
     mixture_cutoff,
-    mixture_moments,
     mixture_pmf,
     mixture_table,
     postselect_pure,
@@ -293,15 +292,6 @@ def most_probable_times(state0: TwoModeState, params: ModelParams, ks) -> np.nda
 def most_probable_time(state0: TwoModeState, params: ModelParams, k: int) -> float:
     """Time t_m maximizing P(k, t); see `most_probable_times`."""
     return float(most_probable_times(state0, params, [k])[0])
-
-
-def count_mean_variance(state0: TwoModeState, params: ModelParams, t: float) -> tuple[float, float]:
-    """Mean and (full) variance of the count distribution at time t.
-
-    k_mean = u <N^2> and Var(k) = k_mean + u^2 Var(N^2) with u = 2 g(t).
-    """
-    _check_time(t)
-    return mixture_moments(state0, eval_kernels(params, t).u)
 
 
 def entanglement_scan(

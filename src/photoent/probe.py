@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DephasedState, ModelParams, TwoModeState, _check_int, _check_time, number_weights
+from .fock import DephasedState, ModelParams, TwoModeState, _check_int, _check_size, _check_time, number_weights
 from .photocount import eval_kernels
 
 DEFAULT_R_MAX = 12
@@ -433,6 +433,8 @@ def probe_report(
     if moments.n_weights is not None and j_max < len(moments.n_weights) - 1:
         aliased = bool(np.any(moments.n_weights[j_max + 1 :] > 1e-12))
     m = max(x_points, 8 * j_max, 2)
+    terms = max(moments.r_max, j_max) + 1  # series terms and cosines per grid point
+    _check_size(f"the H grid of x_points = {x_points}, j_max = {j_max}: {m} points by {terms} terms", m * terms)
     x = np.arange(m) * (2 * math.pi / m)
     h = h_function(moments, x)
     fourier = fourier_coefficients(x, h.values, j_max)

@@ -31,7 +31,6 @@ from .fock import (
     _totals,
     apply_beam_splitter,
     fix_global_phase,
-    number_moment,
     number_weights,
 )
 
@@ -96,6 +95,7 @@ def mixture_table(state0: TwoModeState, us, k_max: int) -> np.ndarray:
     _check_int("k_max", k_max, 0)
     weights, n_sq = sector_means(state0, 1.0)
     _check_size(f"the count table of k = 0..{k_max} over {len(weights)} sectors", (k_max + 1) * len(weights))
+    _check_size(f"the count table of {len(us)} rows of k = 0..{k_max}", len(us) * (k_max + 1))
     return np.array([mixture_pmf_row(weights, u * n_sq, k_max) for u in us])
 
 
@@ -156,8 +156,14 @@ def sector_means(state0: TwoModeState, u: float) -> tuple[np.ndarray, np.ndarray
 
 def mixture_moments(state0: TwoModeState, u: float) -> tuple[float, float]:
     """Mean u <N^2> and full variance k_mean + u^2 Var(N^2) of the mixture
-    (the shot-noise term k_mean included)."""
-    n2, n4 = number_moment(state0, 2), number_moment(state0, 4)
+    (the shot-noise term k_mean included), <N^p> over the renormalized P_N:
+    the count moments of either readout at its u, (chi t)^2 or 2 g(t).
+    Raises ValueError when u or u^2 is not finite."""
+    if not math.isfinite(u * u):
+        raise ValueError(f"u and u^2 must be finite, got u={u!r}")
+    weights = number_weights(state0)
+    n_sq = np.arange(len(weights), dtype=float) ** 2
+    n2, n4 = (float(np.sum(weights * n_sq**p) / np.sum(weights)) for p in (1, 2))
     k_mean = u * n2
     return k_mean, k_mean + u**2 * (n4 - n2**2)
 
@@ -227,11 +233,6 @@ def pm_count_cutoff(state0: TwoModeState, chi: float, t: float, tail: float = TA
     return mixture_cutoff(state0, _pm_u(chi, t), tail)
 
 
-def pm_distribution_row(state0: TwoModeState, chi: float, t: float, k_max: int) -> np.ndarray:
-    """P(k, t) for k = 0..k_max; row-vectorized version of `pm_probability`."""
-    return mixture_table(state0, [_pm_u(chi, t)], k_max)[0]
-
-
 def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int) -> PmOutcome:
     """Pure post-measurement state after counting k monitor photons at t.
 
@@ -242,12 +243,6 @@ def pm_postselect(state0: TwoModeState, lam: float, chi: float, t: float, k: int
     state, independent of k.
     """
     return postselect_pure(state0, lam, t, k, _pm_u(chi, t))
-
-
-def pm_mean_variance(state0: TwoModeState, chi: float, t: float) -> tuple[float, float]:
-    """`mixture_moments` at u = (chi t)^2: the mean (chi t)^2 <N^2> and the
-    full variance, Var(k) = k_mean + (chi t)^4 Var(N^2)."""
-    return mixture_moments(state0, _pm_u(chi, t, 2))
 
 
 def infer_total_mean_photons(k_mean: float, excess_var: float, chi: float, t: float) -> float:
@@ -293,11 +288,3 @@ def coherent_count_moments(f: float, chi: float, t: float) -> tuple[float, float
         raise ValueError(f"f must be finite and >= 0, got {f!r}")
     ct2 = _pm_u(chi, t, 2)
     return ct2 * f * (f + 1.0), ct2**2 * (4.0 * f**3 + 6.0 * f**2 + f)
-
-
-def sample_pm_counts(
-    state0: TwoModeState, chi: float, t: float, n_samples: int, seed: int
-) -> np.ndarray:
-    """Seeded exact k-samples of the projective readout (`sample_mixture`
-    at u = (chi t)^2)."""
-    return sample_mixture(state0, _pm_u(chi, t), n_samples, seed)

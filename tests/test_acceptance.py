@@ -28,7 +28,6 @@ from photoent import (
     make_two_mode_squeezed,
     most_probable_time,
     number_weights,
-    pm_mean_variance,
     postselect_density,
     separable_benchmark,
 )
@@ -45,8 +44,9 @@ from photoent.probe import (
 from photoent.projective import (
     coherent_count_moments,
     infer_total_mean_photons,
+    mixture_moments,
+    mixture_table,
     pm_count_cutoff,
-    pm_distribution_row,
 )
 
 from conftest import random_state
@@ -110,7 +110,7 @@ def test_criterion_2_normalization():
     for state in states:
         for gamma_t in np.linspace(0.0, 5.0, 50):
             t = gamma_t / params.gamma
-            row_pm = pm_distribution_row(state, params.chi, t, pm_count_cutoff(state, params.chi, t))
+            row_pm = mixture_table(state, [(params.chi * t) ** 2], pm_count_cutoff(state, params.chi, t))[0]
             assert abs(math.fsum(row_pm) - 1.0) <= 1e-9
             row_ct = count_distribution_row(state, params, t, count_cutoff(state, params, t))
             assert abs(math.fsum(row_ct) - 1.0) <= 1e-9
@@ -146,7 +146,7 @@ def test_criterion_4_projective_identities(rng):
     for _ in range(10):
         state = random_state(rng, 5, 5)
         t = float(rng.uniform(0.1, 2.0))
-        k_mean, k_var = pm_mean_variance(state, chi, t)
+        k_mean, k_var = mixture_moments(state, (chi * t) ** 2)
         weights = number_weights(state)
         n = np.arange(len(weights), dtype=float)
         var_n2 = float(np.sum(weights * n**4) - np.sum(weights * n**2) ** 2)
@@ -154,7 +154,7 @@ def test_criterion_4_projective_identities(rng):
     # number states: exactly Poissonian counts
     for m, n_b in [(0, 1), (2, 2), (3, 1)]:
         state = make_number_state(m, n_b, 5, 5)
-        k_mean, k_var = pm_mean_variance(state, chi, 1.3)
+        k_mean, k_var = mixture_moments(state, (chi * 1.3) ** 2)
         assert abs(k_var - k_mean) <= 1e-10
     # intensity inference round trip, time independent
     for f in range(1, 21):

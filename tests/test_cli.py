@@ -509,6 +509,12 @@ def _package_env():
 README_STATE = {"kind": "coherent", "alpha": 2.2360679774997896, "beta": 2.2360679774997896}
 README_PARAMS = {"lambda": 0.0, "chi": 0.967, "gamma": 1.0}
 UP_TO_1000 = {"gamma_t": {"start": 0.0, "stop": 1000.0, "num": 81}}
+# |1,0> has 2 sectors, so k = 0..4,999,999 passes the per-row budget, but the
+# default 51 times make a table of 255 million entries
+ONE_PHOTON_TO_5E6 = {
+    "state": {"kind": "number", "m": 1, "n": 0, "d_a": 2, "d_b": 1},
+    "grids": {"k": {"max": 4_999_999}},
+}
 
 
 @pytest.mark.parametrize(
@@ -518,6 +524,18 @@ UP_TO_1000 = {"gamma_t": {"start": 0.0, "stop": 1000.0, "num": 81}}
         ("count-dist", {"grids": UP_TO_1000}, "the count table of k = 0..5672554 over 45 sectors"),
         ("scan", {"grids": {"k": {"max": 10**12}}}, "grids.k.max = 1000000000000"),
         ("sample", {"sample": {"gamma_t": 1.0, "n_samples": 10**12}, "seed": 1}, "n_samples"),
+        ("pm-dist", ONE_PHOTON_TO_5E6, "the count table of 51 rows of k = 0..4999999"),
+        ("count-dist", ONE_PHOTON_TO_5E6, "the count table of 51 rows of k = 0..4999999"),
+        (
+            "probe --analytic",
+            {"grids": {"x_points": 10**9}},
+            "the H grid of x_points = 1000000000, j_max = 44: 1000000000 points by 45 terms",
+        ),
+        (
+            "probe --analytic",
+            {"probe": {"j_max": 10**6}},
+            "the H grid of x_points = 512, j_max = 1000000: 8000000 points by 1000001 terms",
+        ),
     ],
 )
 def test_oversized_requests_exit_3_within_a_second(tmp_path, command, overrides, field):
@@ -529,7 +547,7 @@ def test_oversized_requests_exit_3_within_a_second(tmp_path, command, overrides,
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
-    cfg = write_config(tmp_path, state=README_STATE, params=README_PARAMS, **overrides)
+    cfg = write_config(tmp_path, **{"state": README_STATE, "params": README_PARAMS, **overrides})
     code = (
         "import sys, time\n"
         "from photoent.cli import main\n"
@@ -539,7 +557,7 @@ def test_oversized_requests_exit_3_within_a_second(tmp_path, command, overrides,
         "sys.exit(code)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, command, "--config", str(cfg), "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", code, *command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
         env=_package_env(),

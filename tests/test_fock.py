@@ -26,6 +26,7 @@ from photoent import (
 from photoent.fock import ModelParams, ResourceLimitError, pad_state
 
 from conftest import random_gram_w, random_state
+from crosschecks import dense_partial_trace
 
 
 class TestConstructors:
@@ -280,6 +281,13 @@ class TestDensities:
         rho = density_from_pure(random_state(rng, 4, 6))
         assert abs(rho.trace - 1.0) < 1e-12
 
+    @staticmethod
+    def _partial_trace(rho, keep):
+        # `partial_trace`, checked against the einsum over the dense matrix
+        reduced = partial_trace(rho, keep)
+        assert np.max(np.abs(reduced - dense_partial_trace(rho, keep))) <= 1e-14
+        return reduced
+
     def test_partial_trace_product_state(self, rng):
         sa = rng.normal(size=3) + 1j * rng.normal(size=3)
         sb = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -287,28 +295,28 @@ class TestDensities:
         s = TwoModeState(coeffs / np.linalg.norm(coeffs))
         rho = density_from_pure(s)
         a = sa / np.linalg.norm(sa)
-        assert np.max(np.abs(partial_trace(rho, "A") - np.outer(a, a.conj()))) < 1e-12
+        assert np.max(np.abs(self._partial_trace(rho, "A") - np.outer(a, a.conj()))) < 1e-12
 
     def test_partial_trace_bell_like(self):
         rho = density_from_pure(make_superposition([(0, 0, 1), (1, 1, 1)]))
-        reduced = partial_trace(rho, "A")
+        reduced = self._partial_trace(rho, "A")
         assert np.max(np.abs(reduced - np.diag([0.5, 0.5]))) < 1e-14
 
     def test_partial_trace_vacuum(self):
         rho = density_from_pure(make_number_state(0, 0, 3, 3))
-        assert np.max(np.abs(partial_trace(rho, "B") - np.diag([1.0, 0.0, 0.0]))) < 1e-15
+        assert np.max(np.abs(self._partial_trace(rho, "B") - np.diag([1.0, 0.0, 0.0]))) < 1e-15
 
     def test_partial_trace_preserves_trace(self, rng):
         rho = density_from_pure(random_state(rng, 5, 4))
         for keep in ("A", "B"):
-            assert abs(np.trace(partial_trace(rho, keep)).real - 1.0) < 1e-12
+            assert abs(np.trace(self._partial_trace(rho, keep)).real - 1.0) < 1e-12
 
     def test_partial_trace_is_linear_under_mixing(self, rng):
         s = random_state(rng, 4, 4)
         w1, w2 = random_gram_w(rng, s.n_max + 1), random_gram_w(rng, s.n_max + 1)
         p = 0.3
-        direct = partial_trace(DephasedState(s, p * w1 + (1 - p) * w2), "B")
-        combo = p * partial_trace(DephasedState(s, w1), "B") + (1 - p) * partial_trace(
+        direct = self._partial_trace(DephasedState(s, p * w1 + (1 - p) * w2), "B")
+        combo = p * self._partial_trace(DephasedState(s, w1), "B") + (1 - p) * self._partial_trace(
             DephasedState(s, w2), "B"
         )
         assert np.max(np.abs(direct - combo)) < 1e-12

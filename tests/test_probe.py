@@ -13,7 +13,6 @@ from photoent import (
     make_superposition,
     make_two_mode_squeezed,
     number_weights,
-    pm_mean_variance,
     sample_counts,
 )
 from photoent.photocount import eval_kernels
@@ -26,6 +25,7 @@ from photoent.probe import (
     probe_report,
     reconstruct_marginal,
 )
+from photoent.projective import mixture_moments
 
 from conftest import random_state
 from crosschecks import single_factorial_series
@@ -55,7 +55,7 @@ class TestAnalyticMoments:
         mom = analytic_moments(s, P, 0.9, r_max=3)
         assert abs(mom.kappa_moments[1] - 110.0) < 1e-8
         chi_t = 0.37
-        k_mean, _ = pm_mean_variance(s, 1.0, chi_t)
+        k_mean, _ = mixture_moments(s, chi_t**2)
         assert abs(mom.kappa_moments[1] - k_mean / chi_t**2) < 1e-8
 
     def test_factorial_exactness_at_all_times(self, rng):

@@ -12,7 +12,6 @@ from photoent import (
     make_number_state,
     make_superposition,
     number_weights,
-    pm_mean_variance,
     pm_postselect,
     pm_probability,
 )
@@ -23,12 +22,11 @@ from photoent.projective import (
     _pm_u,
     coherent_count_moments,
     infer_total_mean_photons,
+    mixture_moments,
     mixture_pmf_row,
     mixture_table,
     pm_count_cutoff,
-    pm_distribution_row,
     sample_mixture,
-    sample_pm_counts,
     sector_means,
 )
 
@@ -120,14 +118,14 @@ class TestMoments:
     def test_number_state_variance_equals_mean(self):
         for m, n in [(0, 1), (2, 2), (3, 0)]:
             s = make_number_state(m, n, 5, 5)
-            k_mean, k_var = pm_mean_variance(s, 0.7, 1.1)
+            k_mean, k_var = mixture_moments(s, (0.7 * 1.1) ** 2)
             assert abs(k_mean - 0.7**2 * 1.1**2 * (m + n) ** 2) < 1e-12
             assert abs(k_var - k_mean) < 1e-10
 
     def test_paper_scale_coherent_moments(self):
         # F = 10, chi t = 0.1: mean 1.1, variance 1.1 + 0.461
         s = make_coherent_product(math.sqrt(5), math.sqrt(5), eps_trunc=1e-14)
-        k_mean, k_var = pm_mean_variance(s, 1.0, 0.1)
+        k_mean, k_var = mixture_moments(s, 0.1**2)
         assert abs(k_mean - 1.1) < 1e-9
         assert abs((k_var - k_mean) - 0.461) < 1e-9
 
@@ -135,7 +133,7 @@ class TestMoments:
         for _ in range(5):
             s = random_state(rng, 5, 5)
             chi, t = 0.6, 0.9
-            k_mean, k_var = pm_mean_variance(s, chi, t)
+            k_mean, k_var = mixture_moments(s, (chi * t) ** 2)
             kmax = pm_count_cutoff(s, chi, t, tail=1e-14)
             ks = np.arange(kmax + 1)
             probs = np.array([pm_probability(s, chi, t, int(k)) for k in ks])
@@ -149,7 +147,7 @@ class TestMoments:
         for _ in range(5):
             s = random_state(rng, 6, 4)
             chi, t = 0.5, 1.3
-            k_mean, k_var = pm_mean_variance(s, chi, t)
+            k_mean, k_var = mixture_moments(s, (chi * t) ** 2)
             weights = number_weights(s)
             n = np.arange(len(weights), dtype=float)
             var_n2 = float(np.sum(weights * n**4) - np.sum(weights * n**2) ** 2)
@@ -157,7 +155,7 @@ class TestMoments:
 
     def test_mixed_states_overdispersed(self):
         s = make_superposition([(0, 1, 1.0), (2, 2, 1.0)])  # Var(N^2) > 0
-        k_mean, k_var = pm_mean_variance(s, 0.7, 0.8)
+        k_mean, k_var = mixture_moments(s, (0.7 * 0.8) ** 2)
         assert k_var > k_mean
 
 
@@ -192,13 +190,13 @@ class TestInferTotalMeanPhotons:
         f = 4.0
         s = make_coherent_product(math.sqrt(2), math.sqrt(2), eps_trunc=1e-16)
         for t in (0.05, 0.2, 0.8):
-            k_mean, k_var = pm_mean_variance(s, 1.0, t)
+            k_mean, k_var = mixture_moments(s, t**2)
             assert abs(infer_total_mean_photons(k_mean, k_var - k_mean, 1.0, t) - f) < 1e-9
 
 
 def test_distribution_row_matches_scalar_form(rng):
     s = random_state(rng, 4, 5)
-    row = pm_distribution_row(s, 0.8, 0.9, 12)
+    row = mixture_table(s, [(0.8 * 0.9) ** 2], 12)[0]
     for k in range(13):
         assert abs(row[k] - pm_probability(s, 0.8, 0.9, k)) < 1e-15
 
@@ -231,16 +229,16 @@ def test_count_cutoff_follows_the_populated_sectors():
     kmax = pm_count_cutoff(s, chi, t)
     assert kmax == 5778
     assert k_cutoff((chi * t * s.n_max) ** 2) == 14292
-    row = pm_distribution_row(s, chi, t, kmax)
+    row = mixture_table(s, [(chi * t) ** 2], kmax)[0]
     assert abs(math.fsum(row) - (1.0 - s.trunc_weight)) <= 2e-12  # tail + rounding
 
 
 def test_sampling_is_seed_reproducible():
     s = make_coherent_product(1.0, 1.0, eps_trunc=1e-10)
-    a = sample_pm_counts(s, 1.0, 0.5, 200, seed=11)
-    b = sample_pm_counts(s, 1.0, 0.5, 200, seed=11)
+    a = sample_mixture(s, 0.5**2, 200, seed=11)
+    b = sample_mixture(s, 0.5**2, 200, seed=11)
     assert np.array_equal(a, b)
-    c = sample_pm_counts(s, 1.0, 0.5, 200, seed=12)
+    c = sample_mixture(s, 0.5**2, 200, seed=12)
     assert not np.array_equal(a, c)
 
 
@@ -249,13 +247,10 @@ def test_sampling_is_seed_reproducible():
     "call",
     [
         lambda s, chi: pm_probability(s, chi, 1.0, 1),
-        lambda s, chi: pm_distribution_row(s, chi, 1.0, 4),
         lambda s, chi: pm_count_cutoff(s, chi, 1.0),
-        lambda s, chi: pm_mean_variance(s, chi, 1.0),
         lambda s, chi: pm_postselect(s, 0.1, chi, 1.0, 1),
-        lambda s, chi: sample_pm_counts(s, chi, 1.0, 10, seed=1),
     ],
-    ids=["probability", "distribution_row", "count_cutoff", "mean_variance", "postselect", "sample"],
+    ids=["probability", "count_cutoff", "postselect"],
 )
 def test_bad_chi_rejected(call, chi):
     # ModelParams rejects these; the readout functions take a bare chi
@@ -279,14 +274,16 @@ def test_coherent_product_estimator_checks_chi_and_t(call, chi, t, match):
         call(chi, t)
 
 
-# name: (call, whether it squares u = (chi t)^2 as the moment formulas do)
+# name: (call, whether it squares u = (chi t)^2 as the moment formulas do);
+# `mixture_moments` takes u itself, formed as a product since ** would raise
+# OverflowError
 OVERFLOW_CALLS = {
     "probability": (lambda s, chi, t: pm_probability(s, chi, t, 1), False),
     "count_cutoff": (lambda s, chi, t: pm_count_cutoff(s, chi, t), False),
     "postselect": (lambda s, chi, t: pm_postselect(s, 0.1, chi, t, 1), False),
     "infer": (lambda s, chi, t: infer_total_mean_photons(1.0, 1.0, chi, t), True),
     "moments": (lambda s, chi, t: coherent_count_moments(2.0, chi, t), True),
-    "mean_variance": (lambda s, chi, t: pm_mean_variance(s, chi, t), True),
+    "mean_variance": (lambda s, chi, t: mixture_moments(s, chi * t * (chi * t)), True),
 }
 
 
@@ -304,16 +301,25 @@ def test_overflowing_chi_t_rejected(call, chi, t):
     # OverflowError, and 1e155 * 1e155 gave NaN with RuntimeWarnings only;
     # the moment formulas square (chi t)^2 once more, so from chi t = 2^256
     # on they raised OverflowError
-    call, squares_u = OVERFLOW_CALLS[call]
-    power = 4 if squares_u else 2
-    with pytest.raises(ValueError, match=re.escape(f"(chi t)^{power} must be finite, got chi={chi!r} and t={t!r}")):
+    name, (call, squares_u) = call, OVERFLOW_CALLS[call]
+    message = f"(chi t)^{4 if squares_u else 2} must be finite, got chi={chi!r} and t={t!r}"
+    if name == "mean_variance":  # the mixture core names u
+        message = f"u and u^2 must be finite, got u={chi * t * (chi * t)!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         call(make_superposition([(1, 0, 1.0), (1, 1, 1.0)]), chi, t)
 
 
 def test_moments_just_below_the_overflow():
     s = make_superposition([(1, 0, 1.0), (1, 1, 1.0)])
     assert all(math.isfinite(v) for v in coherent_count_moments(0.5, 2.0**255, 1.0))
-    assert all(math.isfinite(v) for v in pm_mean_variance(s, 2.0**250, 1.0))
+    assert all(math.isfinite(v) for v in mixture_moments(s, 2.0**500))
+
+
+@pytest.mark.parametrize("u", [1e200, math.inf, math.nan])
+def test_moments_reject_u_whose_square_is_not_finite(u):
+    # one check for both readouts: u = (chi t)^2 or 2 g(t)
+    with pytest.raises(ValueError, match=re.escape(f"u and u^2 must be finite, got u={u!r}")):
+        mixture_moments(make_superposition([(1, 0, 1.0), (1, 1, 1.0)]), u)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
