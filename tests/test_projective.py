@@ -247,13 +247,18 @@ def test_sampling_is_seed_reproducible():
     "call",
     [
         lambda s, chi: pm_probability(s, chi, 1.0, 1),
+        lambda s, chi: mixture_table(s, [_pm_u(chi, 1.0)], 4),
         lambda s, chi: pm_count_cutoff(s, chi, 1.0),
+        lambda s, chi: mixture_moments(s, _pm_u(chi, 1.0)),
         lambda s, chi: pm_postselect(s, 0.1, chi, 1.0, 1),
+        lambda s, chi: sample_mixture(s, _pm_u(chi, 1.0), 10, seed=1),
     ],
-    ids=["probability", "count_cutoff", "postselect"],
+    ids=["probability", "distribution_row", "count_cutoff", "mean_variance", "postselect", "sample"],
 )
 def test_bad_chi_rejected(call, chi):
-    # ModelParams rejects these; the readout functions take a bare chi
+    # ModelParams rejects these; the readout functions take a bare chi, and
+    # the projective readout's rows, moments and samples take the mixture
+    # core at `_pm_u(chi, t)`, as `pm-dist` builds its table
     with pytest.raises(ValueError, match="chi must be finite and > 0"):
         call(make_superposition([(1, 0, 1.0), (1, 1, 1.0)]), chi)
 
